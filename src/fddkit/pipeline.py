@@ -168,7 +168,19 @@ def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     cfg1 = classifier_config(lmap.n_level1, seed, spec,
                              n_features=train_b.n_features)
     level1 = fit_classifier(l1_batch, cfg1)
+    level2 = _fit_level2(seed, spec, prbs)
+    return HierarchicalModel(level1, level2, lmap)
 
+
+def _level2_map(spec):
+    _, lmap = regroup_labels(np.array(spec.level2_classes), spec.incipient,
+                             n_classes=max(spec.classes) + 1)
+    return lmap
+
+
+def _fit_level2(seed, spec, prbs):
+    """The level-2 specialist on the merged group's training split."""
+    lmap = _level2_map(spec)
     sub_train = scenario_batch(seed, "train", spec,
                                classes=spec.level2_classes, prbs=prbs)
     sub = WindowBatch(windows=sub_train.windows,
@@ -176,8 +188,7 @@ def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
                       starts=sub_train.starts, series=sub_train.series)
     cfg2 = classifier_config(lmap.n_level2, seed, spec,
                              n_features=sub_train.n_features)
-    level2 = fit_classifier(sub, cfg2)
-    return HierarchicalModel(level1, level2, lmap)
+    return fit_classifier(sub, cfg2)
 
 
 def _apply_scaler(model, windows):
@@ -219,32 +230,36 @@ def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,
     return build_report(cm, normal=0, metadata=metadata)
 
 
-def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
-    """Per-class test accuracy of a standalone level-2 specialist,
-    keyed by original class id."""
-    _, lmap = regroup_labels(np.array(spec.level2_classes), spec.incipient,
-                             n_classes=max(spec.classes) + 1)
-    train_b = scenario_batch(seed, "train", spec,
-                             classes=spec.level2_classes, prbs=prbs)
+def level2_scores(model, seed, spec=ExperimentSpec(), prbs=None):
+    """Per-class accuracy of a level-2 specialist on the merged group's
+    test split, keyed by original class id."""
+    lmap = _level2_map(spec)
     test_b = scenario_batch(seed, "test", spec,
                             classes=spec.level2_classes, prbs=prbs)
-    cfg = classifier_config(lmap.n_level2, seed, spec,
-                            n_features=train_b.n_features)
-    model = fit_classifier(
-        WindowBatch(windows=train_b.windows,
-                    labels=lmap.to_level2(train_b.labels),
-                    starts=train_b.starts, series=train_b.series), cfg)
     preds = model.predict(test_b.scaled(model.scaler))
     truth = lmap.to_level2(test_b.labels)
     return {orig: float(np.mean(preds[truth == k] == k))
             for k, orig in enumerate(lmap.level2_classes)}
 
 
-def excitation_gain(seed, spec=ExperimentSpec(), plan=None):
-    """Incipient-class accuracy change from exciting the level-2 data."""
+def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
+    """Per-class test accuracy of a standalone level-2 specialist,
+    keyed by original class id."""
+    model = _fit_level2(seed, spec, prbs)
+    return level2_scores(model, seed, spec, prbs)
+
+
+def excitation_gain(seed, spec=ExperimentSpec(), plan=None, level2=None):
+    """Incipient-class accuracy change from exciting the level-2 data.
+
+    level2 is the quiet specialist to score, such as the one inside
+    ``fit_hierarchical(seed, spec)``; it is trained here when omitted.
+    """
     if plan is None:
         plan = default_excitation(spec.plant_factory(seed=0))
-    quiet = level2_accuracies(seed, spec, prbs=None)
+    if level2 is None:
+        level2 = _fit_level2(seed, spec, None)
+    quiet = level2_scores(level2, seed, spec)
     excited = level2_accuracies(seed, spec, prbs=plan)
     incip = sorted(spec.incipient)
     gain = float(np.mean([excited[c] - quiet[c] for c in incip]))
@@ -276,7 +291,9 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
             flat, scenario_batch(seed, "test", spec))
         hier = fit_hierarchical(seed, spec)
         hier_report = evaluate_hierarchical(hier, seed, spec)
-        gain = excitation_gain(seed, spec, plan)
+        # the quiet specialist inside hier is the one excitation_gain
+        # would otherwise train again from the same data and seed
+        gain = excitation_gain(seed, spec, plan, level2=hier.level2)
         rows.append({
             "seed": int(seed),
             "flat_incipient": _class_mean(flat_report, incip),

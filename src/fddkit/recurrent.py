@@ -3,14 +3,23 @@
 All math is dense float64 numpy. Gate blocks are packed row-wise in the
 order forget, input, candidate, output, so W has shape (4*d_h, d_x),
 R has shape (4*d_h, d_h) and b has shape (4*d_h,).
+
+The forward pass keeps the gate activations packed the same way: one
+``gates`` array of shape (N, T, 4*d_h) in the cache, filled per step by
+a single ``sigmoid`` call over the whole preactivation, with the
+candidate block then overwritten by ``tanh``. The backward pass reads
+the four gates as column slices of that array. Time steps are a Python
+loop, so one gate pass per step rather than one per gate is what keeps
+training cheap at small hidden sizes.
 """
 
 from dataclasses import dataclass, field
+import math
 import struct
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, FormatError, NumericError
 
 GATE_ORDER = ("forget", "input", "candidate", "output")
 
@@ -18,12 +27,17 @@ _MAGIC = b"FDK1"
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Numerically stable logistic function.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows; both branches share e = exp(-|x|), which avoids
+    boolean-mask gathers and scatters.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -189,15 +203,11 @@ class LstmCache:
     x: np.ndarray        # (N, T, d_x)
     h: np.ndarray        # (N, T, d_h)
     c: np.ndarray        # (N, T, d_h)
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    tanh_c: np.ndarray
+    gates: np.ndarray    # (N, T, 4*d_h): forget, input, candidate, output
+    tanh_c: np.ndarray   # (N, T, d_h)
     h0: np.ndarray       # (N, d_h)
     c0: np.ndarray
     params: LstmParams
-    single: bool = False
 
 
 def lstm_forward_batch(x, params, h0=None, c0=None):
@@ -233,10 +243,7 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
 
     h = np.empty((n, t_len, d_h))
     c = np.empty((n, t_len, d_h))
-    f = np.empty((n, t_len, d_h))
-    i = np.empty((n, t_len, d_h))
-    g = np.empty((n, t_len, d_h))
-    o = np.empty((n, t_len, d_h))
+    gates = np.empty((n, t_len, 4 * d_h))
     tanh_c = np.empty((n, t_len, d_h))
 
     # Hoist the input projection out of the time loop; only the recurrent
@@ -245,29 +252,17 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
     h_prev, c_prev = h0, c0
     for t in range(t_len):
         a = xw[:, t] + h_prev @ params.R.T
-        f[:, t] = sigmoid(a[:, :d_h])
-        i[:, t] = sigmoid(a[:, d_h:2 * d_h])
-        g[:, t] = np.tanh(a[:, 2 * d_h:3 * d_h])
-        o[:, t] = sigmoid(a[:, 3 * d_h:])
-        c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
+        gt = gates[:, t]
+        gt[...] = sigmoid(a)
+        gt[:, 2 * d_h:3 * d_h] = np.tanh(a[:, 2 * d_h:3 * d_h])
+        f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
+        c[:, t] = f * c_prev + i * g
         tanh_c[:, t] = np.tanh(c[:, t])
-        h[:, t] = o[:, t] * tanh_c[:, t]
+        h[:, t] = o * tanh_c[:, t]
         h_prev, c_prev = h[:, t], c[:, t]
 
-    cache = LstmCache(x, h, c, f, i, g, o, tanh_c, h0, c0, params)
+    cache = LstmCache(x, h, c, gates, tanh_c, h0, c0, params)
     return h, c, cache
-
-
-def lstm_forward(seq, params, h0=None, c0=None):
-    """Single-sequence wrapper: seq is (T, d_x), outputs are (T, d_h)."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise DimensionError(f"expected (T, d_x) sequence, got shape {seq.shape}")
-    h0b = None if h0 is None else np.asarray(h0)[None, :]
-    c0b = None if c0 is None else np.asarray(c0)[None, :]
-    h, c, cache = lstm_forward_batch(seq[None], params, h0b, c0b)
-    cache.single = True
-    return h[0], c[0], cache
 
 
 def lstm_backward(cache, grad_h, grad_c_last=None):
@@ -276,10 +271,9 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
     Parameters
     ----------
     cache : LstmCache
-        From lstm_forward / lstm_forward_batch.
-    grad_h : ndarray
-        Loss gradient with respect to every hidden state, same shape as
-        the forward h output.
+        From lstm_forward_batch.
+    grad_h : ndarray, shape (N, T, d_h)
+        Loss gradient with respect to every hidden state.
     grad_c_last : ndarray, optional
         Extra gradient flowing into the final cell state.
 
@@ -291,10 +285,6 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
         Gradient with respect to the layer input, same shape as x.
     """
     grad_h = np.asarray(grad_h, dtype=np.float64)
-    if cache.single:
-        grad_h = grad_h[None]
-        if grad_c_last is not None:
-            grad_c_last = np.asarray(grad_c_last)[None]
     if grad_h.shape != cache.h.shape:
         raise DimensionError(
             f"grad_h shape {grad_h.shape} does not match h {cache.h.shape}")
@@ -310,10 +300,8 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
 
     da = np.empty((n, 4 * d_h))
     for t in range(t_len - 1, -1, -1):
-        f = cache.f[:, t]
-        i = cache.i[:, t]
-        g = cache.g[:, t]
-        o = cache.o[:, t]
+        gt = cache.gates[:, t]
+        f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
         tc = cache.tanh_c[:, t]
         c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
         h_prev = cache.h[:, t - 1] if t > 0 else cache.h0
@@ -337,8 +325,6 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
         dh_next = da @ p.R
         dc = dc * f
 
-    if cache.single:
-        dx = dx[0]
     return LstmParams(dW, dR, db), dx
 
 
@@ -445,35 +431,48 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read a ParamSet written by save_params."""
+    """Read a ParamSet written by save_params.
+
+    Raises FormatError when the file is not a complete parameter file:
+    a wrong magic number, a header, layer table or array cut short,
+    sizes that do not chain, or bytes left over at the end.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
-        raise NumericError(f"{path} is not a parameter file")
+        raise FormatError(f"{path} is not a parameter file")
     off = 4
-    n_layers, n_encoder, n_classes = struct.unpack_from("<III", blob, off)
-    off += 12
-    dims = []
-    for _ in range(n_layers):
-        dims.append(struct.unpack_from("<II", blob, off))
-        off += 8
+
+    def take_bytes(size):
+        nonlocal off
+        if off + size > len(blob):
+            raise FormatError(f"{path} is truncated; file is corrupt")
+        off += size
+        return off - size
 
     def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        off += count * 8
+        count = math.prod(shape)
+        start = take_bytes(8 * count)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         return arr.reshape(shape).astype(np.float64)
 
-    layers = []
-    for d_x, d_h in dims:
-        W = take((4 * d_h, d_x))
-        R = take((4 * d_h, d_h))
-        b = take((4 * d_h,))
-        layers.append(LstmParams(W, R, b))
+    n_layers, n_encoder, n_classes = struct.unpack_from(
+        "<III", blob, take_bytes(12))
+    if not 1 <= n_encoder <= n_layers:
+        raise FormatError(
+            f"{path} names encoder layer {n_encoder} of {n_layers}; "
+            "file is corrupt")
+    dims = [struct.unpack_from("<II", blob, take_bytes(8))
+            for _ in range(n_layers)]
+    layers = [LstmParams(take((4 * d_h, d_x)), take((4 * d_h, d_h)),
+                         take((4 * d_h,)))
+              for d_x, d_h in dims]
     d_z = dims[n_encoder - 1][1]
     W_c = take((n_classes, d_z))
     b_c = take((n_classes,))
     if off != len(blob):
-        raise NumericError(f"{path} has trailing bytes; file is corrupt")
-    return ParamSet(layers, W_c, b_c, n_encoder)
+        raise FormatError(f"{path} has trailing bytes; file is corrupt")
+    try:
+        return ParamSet(layers, W_c, b_c, n_encoder)
+    except DimensionError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

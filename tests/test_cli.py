@@ -7,6 +7,7 @@ import pytest
 
 from fddkit.cli import main
 from fddkit.dataio import load_labels, load_matrix
+from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
 
 TINY_SURROGATE = {
     "classes": [0, 1, 2],
@@ -212,3 +213,25 @@ def test_usage_errors_exit_one(tmp_path, capsys):
               "--mode", "sideways"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_corrupt_params_exit_one(tmp_path, capsys):
+    # A damaged params.bin is bad input (exit 1), not numeric divergence
+    # (exit 2), and gives one `fddkit:` line instead of a traceback.
+    config = ModelConfig(encoder=(5,), decoder=(10,), n_features=10,
+                         n_classes=3, horizon=10)
+    model_dir = tmp_path / "model"
+    save_model(TrainedModel(config, build_params(config), [], None),
+               model_dir)
+    blob = (model_dir / "params.bin").read_bytes()
+    eval_cfg = write_config(tmp_path / "eval.json",
+                            {"seed": 2, "surrogate": TINY_SURROGATE,
+                             "model": str(model_dir)})
+    for junk in (b"not a parameter file", blob[:10], blob[:-8],
+                 blob + b"\0"):
+        (model_dir / "params.bin").write_bytes(junk)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", eval_cfg,
+                     "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fddkit: ") and err.count("\n") == 1

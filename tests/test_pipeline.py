@@ -11,7 +11,8 @@ from fddkit.pipeline import (ExperimentSpec, default_excitation,
                              excitation_gain, fit_classifier, fit_flat,
                              fit_hierarchical, infer_with_twins,
                              level2_accuracies, scenario_batch,
-                             classifier_config, tune_classifier)
+                             classifier_config, surrogate_benchmark,
+                             tune_classifier)
 
 TINY = ExperimentSpec(classes=(0, 1), incipient=(), n_series=1,
                       n_series_level2=1, horizon=120, window=10, onset=40,
@@ -118,6 +119,15 @@ def test_excitation_gain_structure():
     expect = np.mean([out["excited"][c] - out["quiet"][c]
                       for c in (3, 11)])
     assert out["gain"] == pytest.approx(expect)
+
+
+def test_benchmark_scores_the_hierarchical_level2_as_standalone():
+    # surrogate_benchmark reuses fit_hierarchical's quiet specialist in
+    # place of training a standalone one; the scores must not move.
+    row = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER)["per_seed"][0]
+    assert row["level2_quiet"] == level2_accuracies(1, SMALL_HIER)
+    assert row["level2_excited"] == level2_accuracies(
+        1, SMALL_HIER, prbs=default_excitation())
 
 
 def test_tune_classifier_smoke():

@@ -1,13 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from fddkit.errors import DimensionError, NumericError
+from fddkit.errors import DimensionError, FormatError, NumericError
 from fddkit.recurrent import (AdamState, LstmParams, ParamSet, adam_step,
                               clip_global_norm, finite_diff_grad, global_norm,
                               init_adam, init_params, lstm_backward,
-                              lstm_forward, lstm_forward_batch, max_rel_error,
+                              lstm_forward_batch, max_rel_error,
                               load_params, save_params, sigmoid, softmax)
 
 
@@ -25,8 +26,9 @@ def scalar_params():
 
 def test_scalar_lstm_two_steps_match_hand_trace():
     p = scalar_params()
-    x = np.array([[1.0], [-0.5]])
-    h, c, _ = lstm_forward(x, p)
+    x = np.array([[[1.0], [-0.5]]])
+    h, c, _ = lstm_forward_batch(x, p)
+    h, c = h[0], c[0]
 
     # Step 1 from zero state, traced with plain math.
     f1 = sig(0.1 * 1.0 + 1.0)
@@ -55,8 +57,9 @@ def test_forget_gate_carries_cell_state():
     R = np.zeros((4, 1))
     b = np.array([500.0, -500.0, 0.0, 0.0])
     p = LstmParams(W, R, b)
-    h, c, _ = lstm_forward(np.zeros((5, 1)), p, h0=np.zeros(1), c0=np.array([0.75]))
-    np.testing.assert_allclose(c[:, 0], 0.75, rtol=0, atol=1e-12)
+    h, c, _ = lstm_forward_batch(np.zeros((1, 5, 1)), p, h0=np.zeros((1, 1)),
+                                 c0=np.array([[0.75]]))
+    np.testing.assert_allclose(c[0, :, 0], 0.75, rtol=0, atol=1e-12)
 
 
 def test_batch_forward_matches_per_sequence():
@@ -65,19 +68,19 @@ def test_batch_forward_matches_per_sequence():
     x = rng.normal(size=(5, 6, 3))
     hb, cb, _ = lstm_forward_batch(x, p)
     for k in range(5):
-        h1, c1, _ = lstm_forward(x[k], p)
-        np.testing.assert_allclose(hb[k], h1, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(cb[k], c1, rtol=0, atol=1e-14)
+        h1, c1, _ = lstm_forward_batch(x[k][None], p)
+        np.testing.assert_allclose(hb[k], h1[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cb[k], c1[0], rtol=0, atol=1e-14)
 
 
 def test_forward_rejects_bad_input():
     p = scalar_params()
     with pytest.raises(DimensionError):
-        lstm_forward(np.zeros((4, 2)), p)
-    bad = np.ones((3, 1))
-    bad[1, 0] = np.nan
+        lstm_forward_batch(np.zeros((1, 4, 2)), p)
+    bad = np.ones((1, 3, 1))
+    bad[0, 1, 0] = np.nan
     with pytest.raises(NumericError):
-        lstm_forward(bad, p)
+        lstm_forward_batch(bad, p)
 
 
 def test_init_params_layout_and_determinism():
@@ -131,6 +134,111 @@ def test_sigmoid_saturates_cleanly():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
     assert np.all(np.isfinite(out))
+
+
+def two_branch_sigmoid(x):
+    # The boolean-mask formula sigmoid must reproduce bit for bit.
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    edge = np.array([0.0, -0.0, 1e3, -1e3, 708.0, -708.0, 709.0, -709.0,
+                     709.78, -709.78, 710.0, -710.0, 745.2, -745.2,
+                     1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7])
+    draws = np.random.default_rng(17).normal(scale=8.0, size=(64, 48))
+    for x in (edge, draws, draws[:, 12:24], draws.T):
+        np.testing.assert_array_equal(sigmoid(x), two_branch_sigmoid(x))
+    assert math.copysign(1.0, sigmoid(np.array([-0.0]))[0]) == 1.0
+
+
+def per_gate_forward(x, p):
+    """Reference LSTM forward: one nonlinearity call per gate block."""
+    n, t_len, _ = x.shape
+    d_h = p.d_h
+    h = np.empty((n, t_len, d_h))
+    c = np.empty((n, t_len, d_h))
+    gates = [np.empty((n, t_len, d_h)) for _ in range(4)]
+    f, i, g, o = gates
+    tanh_c = np.empty((n, t_len, d_h))
+    xw = x @ p.W.T + p.b
+    h_prev, c_prev = np.zeros((n, d_h)), np.zeros((n, d_h))
+    for t in range(t_len):
+        a = xw[:, t] + h_prev @ p.R.T
+        f[:, t] = two_branch_sigmoid(a[:, :d_h])
+        i[:, t] = two_branch_sigmoid(a[:, d_h:2 * d_h])
+        g[:, t] = np.tanh(a[:, 2 * d_h:3 * d_h])
+        o[:, t] = two_branch_sigmoid(a[:, 3 * d_h:])
+        c[:, t] = f[:, t] * c_prev + i[:, t] * g[:, t]
+        tanh_c[:, t] = np.tanh(c[:, t])
+        h[:, t] = o[:, t] * tanh_c[:, t]
+        h_prev, c_prev = h[:, t], c[:, t]
+    return h, c, gates, tanh_c
+
+
+def per_gate_backward(x, p, h, c, gates, tanh_c, grad_h):
+    """Reference backward pass over per-gate arrays, zero initial state."""
+    n, t_len, d_h = h.shape
+    f_all, i_all, g_all, o_all = gates
+    dW, dR, db = np.zeros_like(p.W), np.zeros_like(p.R), np.zeros_like(p.b)
+    dx = np.empty_like(x)
+    dh_next = np.zeros((n, d_h))
+    dc = np.zeros((n, d_h))
+    da = np.empty((n, 4 * d_h))
+    zeros = np.zeros((n, d_h))
+    for t in range(t_len - 1, -1, -1):
+        f, i, g, o = f_all[:, t], i_all[:, t], g_all[:, t], o_all[:, t]
+        tc = tanh_c[:, t]
+        c_prev = c[:, t - 1] if t > 0 else zeros
+        h_prev = h[:, t - 1] if t > 0 else zeros
+        dh = grad_h[:, t] + dh_next
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        df = dc * c_prev
+        di = dc * g
+        dg = dc * i
+        da[:, :d_h] = df * f * (1.0 - f)
+        da[:, d_h:2 * d_h] = di * i * (1.0 - i)
+        da[:, 2 * d_h:3 * d_h] = dg * (1.0 - g * g)
+        da[:, 3 * d_h:] = do * o * (1.0 - o)
+        dW += da.T @ x[:, t]
+        dR += da.T @ h_prev
+        db += da.sum(axis=0)
+        dx[:, t] = da @ p.W
+        dh_next = da @ p.R
+        dc = dc * f
+    return dW, dR, db, dx
+
+
+@pytest.mark.parametrize("n,t_len,d_x,d_h", [
+    (7, 6, 3, 4), (5, 1, 2, 3), (4, 5, 3, 1), (1, 1, 1, 1), (128, 20, 10, 12)])
+def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
+    rng = np.random.default_rng(n * 1000 + t_len * 100 + d_h)
+    p = init_params([(d_x, d_h)], n_classes=2, seed=d_h).layers[0]
+    x = rng.normal(scale=2.0, size=(n, t_len, d_x))
+    grad_h = rng.normal(size=(n, t_len, d_h))
+
+    h, c, cache = lstm_forward_batch(x, p)
+    ref_h, ref_c, ref_gates, ref_tanh_c = per_gate_forward(x, p)
+    np.testing.assert_array_equal(h, ref_h)
+    np.testing.assert_array_equal(c, ref_c)
+    np.testing.assert_array_equal(cache.tanh_c, ref_tanh_c)
+    assert cache.gates.shape == (n, t_len, 4 * d_h)
+    for k, ref in enumerate(ref_gates):
+        np.testing.assert_array_equal(
+            cache.gates[:, :, k * d_h:(k + 1) * d_h], ref)
+
+    grads, dx = lstm_backward(cache, grad_h)
+    ref_dW, ref_dR, ref_db, ref_dx = per_gate_backward(
+        x, p, ref_h, ref_c, ref_gates, ref_tanh_c, grad_h)
+    np.testing.assert_array_equal(grads.W, ref_dW)
+    np.testing.assert_array_equal(grads.R, ref_dR)
+    np.testing.assert_array_equal(grads.b, ref_db)
+    np.testing.assert_array_equal(dx, ref_dx)
 
 
 def tiny_paramset():
@@ -200,8 +308,8 @@ def test_lstm_backward_input_gradient():
 
 def test_single_sequence_backward_shapes():
     p = scalar_params()
-    x = np.array([[1.0], [2.0], [0.5]])
-    h, _, cache = lstm_forward(x, p)
+    x = np.array([[[1.0], [2.0], [0.5]]])
+    h, _, cache = lstm_forward_batch(x, p)
     grads, dx = lstm_backward(cache, np.ones_like(h))
     assert dx.shape == x.shape
     assert grads.W.shape == p.W.shape
@@ -287,5 +395,38 @@ def test_param_serialization_round_trip(tmp_path):
 def test_load_params_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a parameter file")
-    with pytest.raises(NumericError):
+    with pytest.raises(FormatError):
         load_params(path)
+
+
+def param_file_bytes(n_encoder, dims, n_classes):
+    """A parameter file with the given header and layer table, all-zero
+    arrays of the sizes that table implies."""
+    d_z = dims[min(n_encoder, len(dims)) - 1][1]
+    count = sum(4 * d_h * (d_x + d_h + 1) for d_x, d_h in dims) \
+        + n_classes * (d_z + 1)
+    return (b"FDK1" + struct.pack("<III", len(dims), n_encoder, n_classes)
+            + b"".join(struct.pack("<II", *d) for d in dims)
+            + bytes(8 * count))
+
+
+def test_load_params_rejects_truncated_and_padded_files(tmp_path):
+    path = tmp_path / "params.bin"
+    path.write_bytes(param_file_bytes(1, [(5, 4), (4, 2)], 3))
+    assert load_params(path).n_classes == 3
+    blob = path.read_bytes()
+    # cut inside the magic, the header, the layer table and the first
+    # array, one byte short, and one byte over
+    variants = [blob[:k] for k in (2, 4, 10, 16, 20, 28, 40, len(blob) - 1)]
+    variants.append(blob + b"\0")
+    # encoder index outside the layer table, layers that do not chain,
+    # and array sizes far beyond the file
+    variants.append(param_file_bytes(0, [(5, 4), (4, 2)], 3))
+    variants.append(param_file_bytes(3, [(5, 4), (4, 2)], 3))
+    variants.append(param_file_bytes(1, [(5, 4), (3, 2)], 3))
+    variants.append(blob[:16] + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+                    + blob[24:])
+    for variant in variants:
+        path.write_bytes(variant)
+        with pytest.raises(FormatError):
+            load_params(path)
