@@ -10,9 +10,9 @@ about a minute.
 
 from fddkit.metrics import format_report
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
-                             evaluate_hierarchical, excitation_gain,
-                             evaluate_classifier, fit_flat,
-                             fit_hierarchical, scenario_batch)
+                             evaluate_hierarchical, evaluate_classifier,
+                             fit_flat, fit_hierarchical, level2_accuracies,
+                             level2_scores, scenario_batch)
 
 spec = ExperimentSpec()
 seed = 1
@@ -46,13 +46,16 @@ for name, report in (("quiet", quiet), ("probed routing", excited)):
     print(f"  mean detection, slow faults:    "
           f"{100 * sum(inc) / len(inc):5.1f}%")
 
-gain = excitation_gain(seed, spec)
-q = sum(gain["quiet"][c] for c in incipient) / len(incipient)
-e = sum(gain["excited"][c] for c in incipient) / len(incipient)
+# hmodel.level2 is already the probed specialist, so only the quiet one
+# is trained here
+quiet_acc = level2_accuracies(seed, spec)
+probed_acc = level2_scores(hmodel.level2, seed, spec, prbs=plan)
+q = sum(quiet_acc[c] for c in incipient) / len(incipient)
+e = sum(probed_acc[c] for c in incipient) / len(incipient)
 print("standalone level-2 specialist, slow-fault accuracy:")
 print(f"  trained and tested quiet:  {100 * q:5.1f}%")
 print(f"  trained and tested probed: {100 * e:5.1f}%")
-print(f"  probing gain:              {100 * gain['gain']:+5.1f} points")
+print(f"  probing gain:              {100 * (e - q):+5.1f} points")
 
 print()
 print(format_report(excited), end="")

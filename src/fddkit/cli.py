@@ -26,8 +26,8 @@ from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
                        fit_classifier, infer_with_twins, scenario_batch,
                        tune_classifier)
-from .plant import (FaultSpec, default_fault_library, default_plant,
-                    simulate_scenario)
+from .plant import (FaultSpec, _target_loop, default_fault_library,
+                    default_plant, simulate_scenario)
 from .prbs import BandSpec, design_band, load_plan, plan_from_band, save_plan
 
 
@@ -122,9 +122,9 @@ def _plan_from(cfg, plant, key="prbs"):
                         omega_nyquist=nyq,
                         s_f=float(node.get("s_f", 2.0)))
     target = node.get("target", "loop1")
+    loop = _target_loop(target, plant.n_loops)
     amplitude = node.get("amplitude")
     if amplitude is None:
-        loop = int(str(target).removeprefix("loop"))
         amplitude = 0.02 * plant.setpoint_ranges[loop]
     kwargs = {}
     for k in ("burst_len", "burst_interval"):
@@ -245,8 +245,13 @@ def _archive_batch(directory, name):
     return WindowBatch(windows=np.load(wfile), labels=np.load(lfile))
 
 
-def _training_data(cfg, mode, seed):
-    """(train_batch, val_batch_or_None, n_classes, spec) for one mode."""
+def _training_data(cfg, mode, seed, surrogate_val=False):
+    """(train_batch, val_batch_or_None, n_classes, spec) for one mode.
+
+    An archive brings its own val split. For surrogate data a val split
+    is built only when surrogate_val is set, by the same recipe (classes,
+    series count, probing plan) and relabelling as the training split.
+    """
     spec = _spec_from(cfg)
     incipient = tuple(cfg.get("incipient", spec.incipient))
     if "archive" in cfg:
@@ -259,11 +264,14 @@ def _training_data(cfg, mode, seed):
     else:
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         level2 = mode == "level2"
-        train_b = scenario_batch(
-            seed, "train", spec,
-            classes=spec.level2_classes if level2 else None,
-            prbs=plan if level2 else None)
-        val_b = None
+
+        def build(split):
+            return scenario_batch(
+                seed, split, spec,
+                classes=spec.level2_classes if level2 else None,
+                prbs=plan if level2 else None)
+        train_b = build("train")
+        val_b = build("val") if surrogate_val else None
         n_classes = max(spec.classes) + 1
     if mode == "flat":
         return train_b, val_b, n_classes, spec
@@ -320,22 +328,10 @@ def cmd_tune(args):
     cfg = _load_config(args.config)
     seed = cfg["seed"]
     mode = cfg.get("mode", "flat")
-    train_b, val_b, n_classes, spec = _training_data(cfg, mode, seed)
+    train_b, val_b, n_classes, spec = _training_data(cfg, mode, seed,
+                                                     surrogate_val=True)
     if val_b is None:
-        val_b = scenario_batch(seed, "val", spec)
-        if mode != "flat":
-            incipient = tuple(cfg.get("incipient", spec.incipient))
-            _, lmap = regroup_labels(val_b.labels, incipient,
-                                     n_classes=max(spec.classes) + 1)
-            relabel = (lmap.to_level1 if mode == "level1"
-                       else lmap.to_level2)
-            if mode == "level2":
-                val_b = merged_subset(val_b, lmap)
-            else:
-                val_b = WindowBatch(windows=val_b.windows,
-                                    labels=relabel(val_b.labels),
-                                    starts=val_b.starts,
-                                    series=val_b.series)
+        raise ConfigError(f"no val split under {cfg['archive']} to tune on")
     mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
     space = cfg.get("search_space")
     model = tune_classifier(train_b, val_b, mcfg, search_space=space,

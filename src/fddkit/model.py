@@ -22,7 +22,8 @@ from .dataio import Scaler, WindowBatch
 from .errors import (ConfigError, DimensionError, NumericDivergenceError)
 from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
                         init_params, load_params, lstm_backward,
-                        lstm_forward_batch, save_params, softmax)
+                        lstm_forward_batch, lstm_hidden_batch, save_params,
+                        softmax)
 
 LOG_CLAMP = 1e-12
 GRAD_CLIP = 5.0
@@ -99,8 +100,12 @@ def _forward_caches(windows, params):
         cur = h
         if k == params.n_encoder - 1:
             z_seq = h
-    logits = z_seq[:, -1] @ params.W_c.T + params.b_c
-    return cur, softmax(logits), z_seq, caches
+    return cur, _class_probs(z_seq, params), z_seq, caches
+
+
+def _class_probs(z_seq, params):
+    """Softmax head on the final-timestep latent of z_seq (N, T, d_z)."""
+    return softmax(z_seq[:, -1] @ params.W_c.T + params.b_c)
 
 
 def model_forward(batch, params, config=None):
@@ -177,9 +182,12 @@ def loss_and_grads(windows, labels, params, config):
 
 
 def predict_proba(params, batch):
-    windows, _ = _as_windows(batch)
-    _, probs, _, _ = _forward_caches(windows, params)
-    return probs
+    """Class probabilities from the encoder and the head alone: the
+    decoder does not affect them, and no backward cache is kept."""
+    z_seq, _ = _as_windows(batch)
+    for layer in params.layers[:params.n_encoder]:
+        z_seq = lstm_hidden_batch(z_seq, layer)
+    return _class_probs(z_seq, params)
 
 
 def predict(params, batch):

@@ -17,8 +17,8 @@ from .hierarchy import (HierarchicalModel, combined_metrics,
                         regroup_labels)
 from .metrics import build_report, confusion
 from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
-from .plant import (INCIPIENT_CLASSES, default_fault_library, default_plant,
-                    simulate_scenario)
+from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
+                    default_plant, simulate_scenario)
 from .prbs import design_band, plan_from_band
 
 SPLIT_BASES = {"train": 0, "val": 400_000, "test": 800_000}
@@ -37,8 +37,8 @@ def default_excitation(plant=None, target="loop1", amplitude=None):
         plant = default_plant()
     band = design_band(SURROGATE_TAU_OL, SURROGATE_TAU_CL,
                        omega_nyquist=np.pi / plant.t_s)
+    loop = _target_loop(target, plant.n_loops)
     if amplitude is None:
-        loop = int(str(target).removeprefix("loop"))
         amplitude = 0.02 * plant.setpoint_ranges[loop]
     return plan_from_band(band, plant.t_s, amplitude=amplitude,
                           target=target)

@@ -4,13 +4,17 @@ All math is dense float64 numpy. Gate blocks are packed row-wise in the
 order forget, input, candidate, output, so W has shape (4*d_h, d_x),
 R has shape (4*d_h, d_h) and b has shape (4*d_h,).
 
-The forward pass keeps the gate activations packed the same way: one
-``gates`` array of shape (N, T, 4*d_h) in the cache, filled per step by
-a single ``sigmoid`` call over the whole preactivation, with the
-candidate block then overwritten by ``tanh``. The backward pass reads
-the four gates as column slices of that array. Time steps are a Python
-loop, so one gate pass per step rather than one per gate is what keeps
-training cheap at small hidden sizes.
+There are two forward passes over the same step arithmetic.
+``lstm_forward_batch`` is the training pass: it keeps the gate
+activations packed the same way, one ``gates`` array of shape
+(N, T, 4*d_h) in the cache, filled per step by a single ``sigmoid`` call
+over the whole preactivation, with the candidate block then overwritten
+by ``tanh``, plus the cell states that ``lstm_backward`` reads back.
+``lstm_hidden_batch`` is the inference pass: it returns only the hidden
+sequence and keeps no cache, so it allocates no (N, T, ...) gate or
+cell arrays. Both give the same hidden states bit for bit. Time steps are a
+Python loop, so one gate pass per step rather than one per gate is what
+keeps training cheap at small hidden sizes.
 """
 
 from dataclasses import dataclass, field
@@ -210,8 +214,43 @@ class LstmCache:
     params: LstmParams
 
 
+def _checked_input(x, params, h0, c0):
+    """The input as float64 (N, T, d_x) plus initial states, zeros when
+    omitted; rejects a wrong rank, non-finite values and a feature size
+    the layer does not take."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise DimensionError(f"expected (N, T, d_x) input, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("LSTM input contains non-finite values")
+    n, _, d_x = x.shape
+    if d_x != params.d_x:
+        raise DimensionError(
+            f"input feature size {d_x} does not match layer input size {params.d_x}")
+    if h0 is None:
+        h0 = np.zeros((n, params.d_h))
+    if c0 is None:
+        c0 = np.zeros((n, params.d_h))
+    return x, h0, c0
+
+
+def _gate_step(a, c_prev, d_h):
+    """One time step from the packed preactivation a (N, 4*d_h).
+
+    Returns the packed gate activations, the cell state, tanh of the
+    cell state and the hidden state.
+    """
+    gt = sigmoid(a)
+    gt[:, 2 * d_h:3 * d_h] = np.tanh(a[:, 2 * d_h:3 * d_h])
+    f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return gt, c, tanh_c, o * tanh_c
+
+
 def lstm_forward_batch(x, params, h0=None, c0=None):
-    """Run one LSTM layer over a batch of sequences.
+    """Run one LSTM layer over a batch of sequences, keeping the cache
+    that lstm_backward needs.
 
     Parameters
     ----------
@@ -226,20 +265,9 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
     c : ndarray, shape (N, T, d_h)
     cache : LstmCache
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError(f"expected (N, T, d_x) input, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("LSTM input contains non-finite values")
-    n, t_len, d_x = x.shape
-    if d_x != params.d_x:
-        raise DimensionError(
-            f"input feature size {d_x} does not match layer input size {params.d_x}")
+    x, h0, c0 = _checked_input(x, params, h0, c0)
+    n, t_len, _ = x.shape
     d_h = params.d_h
-    if h0 is None:
-        h0 = np.zeros((n, d_h))
-    if c0 is None:
-        c0 = np.zeros((n, d_h))
 
     h = np.empty((n, t_len, d_h))
     c = np.empty((n, t_len, d_h))
@@ -252,17 +280,34 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
     h_prev, c_prev = h0, c0
     for t in range(t_len):
         a = xw[:, t] + h_prev @ params.R.T
-        gt = gates[:, t]
-        gt[...] = sigmoid(a)
-        gt[:, 2 * d_h:3 * d_h] = np.tanh(a[:, 2 * d_h:3 * d_h])
-        f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
-        c[:, t] = f * c_prev + i * g
-        tanh_c[:, t] = np.tanh(c[:, t])
-        h[:, t] = o * tanh_c[:, t]
+        gates[:, t], c[:, t], tanh_c[:, t], h[:, t] = _gate_step(
+            a, c_prev, d_h)
         h_prev, c_prev = h[:, t], c[:, t]
 
     cache = LstmCache(x, h, c, gates, tanh_c, h0, c0, params)
     return h, c, cache
+
+
+def lstm_hidden_batch(x, params, h0=None, c0=None):
+    """Hidden states of one LSTM layer over a batch of sequences.
+
+    Same arguments, checks and arithmetic as lstm_forward_batch, so the
+    result equals its ``h`` bit for bit, but nothing is kept for a
+    backward pass: the only full-length array it allocates is the
+    (N, T, d_h) hidden sequence.
+    """
+    x, h_prev, c_prev = _checked_input(x, params, h0, c0)
+    n, t_len, _ = x.shape
+    d_h = params.d_h
+    h = np.empty((n, t_len, d_h))
+    # batch-major like lstm_forward_batch: a time-major product can take
+    # another BLAS path and round differently
+    xw = x @ params.W.T + params.b
+    for t in range(t_len):
+        a = xw[:, t] + h_prev @ params.R.T
+        _, c_prev, _, h[:, t] = _gate_step(a, c_prev, d_h)
+        h_prev = h[:, t]
+    return h
 
 
 def lstm_backward(cache, grad_h, grad_c_last=None):

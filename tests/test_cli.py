@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fddkit.cli
 from fddkit.cli import main
 from fddkit.dataio import load_labels, load_matrix
 from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
@@ -181,6 +182,26 @@ def test_tune_cli(tmp_path):
     assert model_cfg["learning_rate"] in (0.01, 0.05)
 
 
+def test_tune_level2_validates_on_its_training_recipe(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_tune(train_b, val_b, config, search_space=None, budget=4):
+        seen["train"], seen["val"] = train_b, val_b
+        return TrainedModel(config, build_params(config), [], None)
+
+    monkeypatch.setattr(fddkit.cli, "tune_classifier", fake_tune)
+    surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
+            "incipient": [3, 11], "n_series_level2": 2}
+    cfg = write_config(tmp_path / "tune.json",
+                       {"seed": 1, "surrogate": surr, "mode": "level2",
+                        "prbs": "default"})
+    assert main(["tune", "--config", cfg,
+                 "--out", str(tmp_path / "tuned")]) == 0
+    train_b, val_b = seen["train"], seen["val"]
+    assert set(val_b.labels) == set(train_b.labels) == {0, 1, 2}
+    assert len(val_b) == len(train_b)
+
+
 def test_divergence_exit_code(tmp_path):
     cfg = write_config(tmp_path / "train.json",
                        {"seed": 2, "surrogate": TINY_SURROGATE,
@@ -205,6 +226,18 @@ def test_prbs_design_cli(tmp_path):
                                "prbs": {"tau_ol": 1800.0, "tau_cl": 1.0}})
     assert main(["prbs", "design", "--config", infeasible, "--out",
                  str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("target", ["pump", "loop7", 3])
+def test_prbs_design_rejects_bad_target(tmp_path, capsys, target):
+    cfg = write_config(tmp_path / "p.json",
+                       {"seed": 0, "prbs": {"tau_ol": 1800.0,
+                                            "tau_cl": 1030.0,
+                                            "target": target}})
+    assert main(["prbs", "design", "--config", cfg,
+                 "--out", str(tmp_path / "plan")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fddkit: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -6,9 +6,11 @@ import pytest
 from fddkit.dataio import WindowBatch
 from fddkit.errors import (ConfigError, DimensionError,
                            NumericDivergenceError)
+import fddkit.model
 from fddkit.model import (DEFAULT_SEARCH_SPACE, ModelConfig, build_params,
                           load_model, loss_and_grads, model_forward,
-                          sae_loss, save_model, train, tune)
+                          predict, predict_proba, sae_loss, save_model,
+                          train, tune)
 from fddkit.recurrent import finite_diff_grad, max_rel_error
 
 
@@ -56,6 +58,35 @@ def test_forward_shapes_and_probabilities():
     with pytest.raises(DimensionError):
         model_forward(WindowBatch(np.zeros((2, 5, 4)), np.zeros(2, int)),
                       params, cfg)
+
+
+@pytest.mark.parametrize("encoder,horizon", [
+    ((4,), 5), ((4, 2), 5), ((4,), 1), ((4, 2), 1)])
+def test_predict_proba_equals_full_forward_exactly(encoder, horizon):
+    cfg = tiny_config(encoder=encoder, horizon=horizon)
+    params = build_params(cfg)
+    rng = np.random.default_rng(10 * len(encoder) + horizon)
+    x = rng.normal(size=(9, horizon, 3))
+    _, probs, _ = model_forward(x, params, cfg)
+    np.testing.assert_array_equal(predict_proba(params, x), probs)
+
+
+def test_predict_skips_the_cached_forward_pass(monkeypatch):
+    calls = []
+    cached = fddkit.model.lstm_forward_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cached(*args, **kwargs)
+
+    monkeypatch.setattr(fddkit.model, "lstm_forward_batch", counted)
+    params = build_params(tiny_config())
+    batch = toy_batch()
+    predict(params, batch)
+    assert calls == []
+    # the counter does see the training-side pass: encoder plus decoder
+    model_forward(batch, params)
+    assert len(calls) == 2
 
 
 def sae_loss_oracle(recon, inputs, probs, labels, lam1, lam2, lam3, params):

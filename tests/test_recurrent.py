@@ -8,7 +8,8 @@ from fddkit.errors import DimensionError, FormatError, NumericError
 from fddkit.recurrent import (AdamState, LstmParams, ParamSet, adam_step,
                               clip_global_norm, finite_diff_grad, global_norm,
                               init_adam, init_params, lstm_backward,
-                              lstm_forward_batch, max_rel_error,
+                              lstm_forward_batch, lstm_hidden_batch,
+                              max_rel_error,
                               load_params, save_params, sigmoid, softmax)
 
 
@@ -75,12 +76,15 @@ def test_batch_forward_matches_per_sequence():
 
 def test_forward_rejects_bad_input():
     p = scalar_params()
-    with pytest.raises(DimensionError):
-        lstm_forward_batch(np.zeros((1, 4, 2)), p)
     bad = np.ones((1, 3, 1))
     bad[0, 1, 0] = np.nan
-    with pytest.raises(NumericError):
-        lstm_forward_batch(bad, p)
+    for forward in (lstm_forward_batch, lstm_hidden_batch):
+        with pytest.raises(DimensionError):
+            forward(np.zeros((1, 4, 2)), p)
+        with pytest.raises(DimensionError):
+            forward(np.zeros((4, 1)), p)
+        with pytest.raises(NumericError):
+            forward(bad, p)
 
 
 def test_init_params_layout_and_determinism():
@@ -225,6 +229,7 @@ def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     h, c, cache = lstm_forward_batch(x, p)
     ref_h, ref_c, ref_gates, ref_tanh_c = per_gate_forward(x, p)
     np.testing.assert_array_equal(h, ref_h)
+    np.testing.assert_array_equal(lstm_hidden_batch(x, p), h)
     np.testing.assert_array_equal(c, ref_c)
     np.testing.assert_array_equal(cache.tanh_c, ref_tanh_c)
     assert cache.gates.shape == (n, t_len, 4 * d_h)
