@@ -21,7 +21,7 @@ from .errors import ConfigError, FddError, NumericError
 from .hierarchy import HierarchicalModel, merged_subset, regroup_labels
 from .metrics import (build_report, confusion, format_report, load_report,
                       save_report)
-from .model import ModelConfig, load_model, save_model
+from .model import load_model, save_model
 from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
                        fit_classifier, infer_with_twins, scenario_batch,
@@ -29,6 +29,8 @@ from .pipeline import (ExperimentSpec, classifier_config,
 from .plant import (FaultSpec, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
 from .prbs import BandSpec, design_band, load_plan, plan_from_band, save_plan
+
+MODES = ("flat", "level1", "level2")
 
 
 def _load_config(path):
@@ -201,9 +203,7 @@ def cmd_ingest(args):
     if "scaler" in cfg:
         # Pre-split archives keep training and held-out recordings in
         # separate files; the held-out ingest reuses the saved scaler.
-        with open(cfg["scaler"]) as fh:
-            rec = json.load(fh)
-        scaler = Scaler(np.asarray(rec["mean"]), np.asarray(rec["std"]))
+        scaler = Scaler.load(cfg["scaler"])
     elif len(parts["train"]) == 0:
         raise ConfigError(
             "no train windows to fit a scaler on; use a nonzero train "
@@ -221,11 +221,7 @@ def cmd_ingest(args):
         np.save(out / f"{name}_windows.npy", scaled.windows)
         np.save(out / f"{name}_labels.npy", scaled.labels)
         counts[name] = len(part)
-    with open(out / "scaler.json", "w") as fh:
-        json.dump({"mean": scaler.mean.tolist(),
-                   "std": scaler.std.tolist()}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    scaler.save(out / "scaler.json")
     meta = {"window": window, "n_features": batch.n_features,
             "counts": counts, "seed": cfg["seed"],
             "contiguous": spec.contiguous}
@@ -278,21 +274,17 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     _, lmap = regroup_labels(train_b.labels, incipient,
                              n_classes=n_classes)
     if mode == "level1":
-        relabel = lmap.to_level1
-        n_out = lmap.n_level1
+        relabel, n_out = lmap.to_level1, lmap.n_level1
     else:
-        relabel = lmap.to_level2
-        n_out = lmap.n_level2
-        if "archive" in cfg:
-            train_b = merged_subset(train_b, lmap)
-            if val_b is not None:
-                val_b = merged_subset(val_b, lmap)
-            return train_b, val_b, n_out, spec
+        relabel, n_out = lmap.to_level2, lmap.n_level2
+
     def rewrap(b):
         if b is None:
             return None
-        return WindowBatch(windows=b.windows, labels=relabel(b.labels),
-                           starts=b.starts, series=b.series)
+        if mode == "level2" and "archive" in cfg:
+            # an archive holds every class; level 2 keeps the merged group
+            return merged_subset(b, lmap)
+        return b.relabel(relabel(b.labels))
     return rewrap(train_b), rewrap(val_b), n_out, spec
 
 
@@ -328,6 +320,9 @@ def cmd_tune(args):
     cfg = _load_config(args.config)
     seed = cfg["seed"]
     mode = cfg.get("mode", "flat")
+    if mode not in MODES:
+        raise ConfigError(f"config key 'mode' must be one of "
+                          f"{', '.join(MODES)}, not {mode!r}")
     train_b, val_b, n_classes, spec = _training_data(cfg, mode, seed,
                                                      surrogate_val=True)
     if val_b is None:
@@ -342,22 +337,30 @@ def cmd_tune(args):
     return 0
 
 
-def _test_data(cfg, seed, spec):
+def _test_data(cfg, seed, spec, probed=False):
+    """The test split; probed records it with the probing signal on."""
     if "archive" in cfg:
+        if probed:
+            raise ConfigError("probed evaluation needs surrogate data, "
+                              "not an archive")
         batch = _archive_batch(cfg["archive"], "test")
         if batch is None:
             raise ConfigError(f"no test split under {cfg['archive']}")
-        return batch, None
-    quiet = scenario_batch(seed, "test", spec)
-    return quiet, "surrogate"
+        return batch
+    plan = None
+    if probed:
+        plant = spec.plant_factory(seed=0)
+        plan = _plan_from(cfg, plant) or default_excitation(plant)
+    return scenario_batch(seed, "test", spec, prbs=plan)
 
 
 def cmd_evaluate(args):
     cfg = _load_config(args.config)
     seed = cfg["seed"]
     spec = _spec_from(cfg)
-    prbs_on = args.prbs == "on"
-    quiet, source = _test_data(cfg, seed, spec)
+    quiet = _test_data(cfg, seed, spec)
+    probed = (_test_data(cfg, seed, spec, probed=True)
+              if args.prbs == "on" else quiet)
     metadata = {"seed": seed, "horizon": quiet.horizon,
                 "dataset": cfg.get("archive", "surrogate"),
                 "prbs": args.prbs}
@@ -368,31 +371,15 @@ def cmd_evaluate(args):
         n_classes = int(cfg.get("n_classes", max(spec.classes) + 1))
         _, lmap = regroup_labels(np.zeros(1, dtype=np.int64), incipient,
                                  n_classes=n_classes)
-        model = HierarchicalModel(level1, level2, lmap)
         metadata["model"] = f"{cfg['level1']}+{cfg['level2']}"
-        if prbs_on:
-            if source != "surrogate":
-                raise ConfigError(
-                    "excited twins need surrogate data, not an archive")
-            plan = _plan_from(cfg, spec.plant_factory(seed=0)) \
-                or default_excitation(spec.plant_factory(seed=0))
-            excited = scenario_batch(seed, "test", spec, prbs=plan)
-            preds = infer_with_twins(model, quiet, excited)
-        else:
-            preds = model.infer_batch(quiet.windows)
+        preds = infer_with_twins(HierarchicalModel(level1, level2, lmap),
+                                 quiet, probed)
         cm = confusion(quiet.labels, preds, lmap.n_original)
         report = build_report(cm, normal=0, metadata=metadata)
     else:
         model = load_model(Path(_require(cfg, "model")))
         metadata["model"] = str(cfg["model"])
-        if prbs_on:
-            if source != "surrogate":
-                raise ConfigError(
-                    "excited evaluation needs surrogate data")
-            plan = _plan_from(cfg, spec.plant_factory(seed=0)) \
-                or default_excitation(spec.plant_factory(seed=0))
-            quiet = scenario_batch(seed, "test", spec, prbs=plan)
-        report = evaluate_classifier(model, quiet, metadata=metadata)
+        report = evaluate_classifier(model, probed, metadata=metadata)
     out = _out_dir(args)
     save_report(report, out)
     print(format_report(report), end="")
@@ -402,11 +389,7 @@ def cmd_evaluate(args):
 def cmd_prbs_design(args):
     cfg = _load_config(args.config)
     plant = _plant_from(cfg, cfg["seed"])
-    node = cfg.get("prbs")
-    if node is None or node == "default" or isinstance(node, str):
-        plan = _plan_from(cfg, plant) or default_excitation(plant)
-    else:
-        plan = _plan_from(cfg, plant)
+    plan = _plan_from(cfg, plant) or default_excitation(plant)
     out = _out_dir(args)
     save_plan(plan, out / "plan.json")
     print(f"clock {plan.t_clock}  register {plan.n_register}  "
@@ -457,7 +440,7 @@ def _build_parser():
     p = sub.add_parser("train", help="fit one classifier")
     common(p)
     p.add_argument("--mode", required=True,
-                   choices=("flat", "level1", "level2"))
+                   choices=MODES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", help="successive-halving search")

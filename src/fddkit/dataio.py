@@ -4,7 +4,8 @@ Data files are whitespace-delimited numeric matrices, one sample per row,
 with an optional sidecar label file holding one integer per line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import json
 import logging
 
 import numpy as np
@@ -48,6 +49,29 @@ class Scaler:
 
     def inverse(self, data):
         return np.asarray(data) * self.std + self.mean
+
+    def save(self, path):
+        """Write mean and std as sorted-key JSON (scaler.json)."""
+        with open(path, "w") as fh:
+            json.dump({"mean": self.mean.tolist(), "std": self.std.tolist()},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        """Read a file written by save; FormatError if it is not one."""
+        try:
+            with open(path) as fh:
+                rec = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        if not (isinstance(rec, dict) and all(
+                isinstance(rec.get(key), list)
+                and all(type(v) in (int, float) for v in rec[key])
+                for key in ("mean", "std"))):
+            raise FormatError(f"{path}: a scaler needs 'mean' and 'std' "
+                              "lists of numbers")
+        return cls(rec["mean"], rec["std"])
 
 
 def standardize(data, scaler=None):
@@ -116,6 +140,10 @@ class WindowBatch:
         flat = self.windows.reshape(-1, self.n_features)
         out = scaler.apply(flat).reshape(self.windows.shape)
         return WindowBatch(out, self.labels, self.starts, self.series)
+
+    def relabel(self, labels):
+        """The same windows, starts and series under new labels."""
+        return WindowBatch(self.windows, labels, self.starts, self.series)
 
 
 def concat_batches(batches):

@@ -4,14 +4,14 @@ Level 1 sees every class but with the hard (incipient) fault classes and
 the normal class merged into a single index-0 group; level 2 is a
 specialist that separates that group into normal plus the individual
 incipient classes. Each level keeps its own feature scaler, and a window
-is routed to level 2 only when level 1 picks the merged group.
+is routed to level 2 only when level 1 picks the merged group; level 2
+then reads the window itself or its probed twin.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import WindowBatch
 from .errors import ConfigError
 from .metrics import build_report, confusion
 from .model import TrainedModel
@@ -110,12 +110,7 @@ def merged_subset(batch, label_map):
     relabeled into the level-2 alphabet."""
     mask = np.array([label_map.is_merged(int(v)) for v in batch.labels])
     sub = batch.take(np.flatnonzero(mask))
-    return WindowBatch(
-        windows=sub.windows,
-        labels=label_map.to_level2(sub.labels),
-        starts=sub.starts,
-        series=sub.series,
-    )
+    return sub.relabel(label_map.to_level2(sub.labels))
 
 
 def _scaled(model, windows):
@@ -132,15 +127,24 @@ class HierarchicalModel:
     level2: TrainedModel
     label_map: LabelMap
 
-    def infer_batch(self, windows):
-        """Original-alphabet predictions for raw (unscaled) windows."""
+    def infer_batch(self, windows, probed=None):
+        """Original-alphabet predictions for raw (unscaled) windows.
+
+        Level 1 routes every window; level 2 re-examines the routed rows
+        of probed, the sample-aligned twin recorded with the probing
+        signal on, or of windows themselves when probed is None.
+        """
         windows = np.asarray(windows, dtype=np.float64)
+        probed = (windows if probed is None
+                  else np.asarray(probed, dtype=np.float64))
+        if probed.shape != windows.shape:
+            raise ConfigError("twin batches do not align")
         pred1 = self.level1.predict(_scaled(self.level1, windows))
         out = self.label_map.from_level1(pred1)
         routed = np.flatnonzero(pred1 == 0)
         if routed.size:
             pred2 = self.level2.predict(
-                _scaled(self.level2, windows[routed]))
+                _scaled(self.level2, probed[routed]))
             out[routed] = self.label_map.from_level2(pred2)
         return out
 

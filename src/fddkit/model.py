@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .dataio import Scaler, WindowBatch
-from .errors import (ConfigError, DimensionError, NumericDivergenceError)
+from .errors import (ConfigError, DimensionError, FormatError,
+                     NumericDivergenceError)
 from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
                         init_params, load_params, lstm_backward,
                         lstm_forward_batch, lstm_hidden_batch, save_params,
@@ -330,27 +331,28 @@ def save_model(model, directory):
             fh.write(f"{row['epoch']}\t{row['loss']:.17g}\t"
                      f"{row['val_accuracy']:.17g}\n")
     if model.scaler is not None:
-        with open(directory / "scaler.json", "w") as fh:
-            json.dump({"mean": list(model.scaler.mean),
-                       "std": list(model.scaler.std)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        model.scaler.save(directory / "scaler.json")
 
 
 def load_model(directory):
-    with open(directory / "config.json") as fh:
-        cfg = json.load(fh)
-    config = ModelConfig(**cfg)
+    """Read a save_model directory; FormatError if a file is damaged."""
+    path = directory / "config.json"
+    try:
+        with open(path) as fh:
+            config = ModelConfig(**json.load(fh))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a model config ({exc})") from None
     params = load_params(directory / "params.bin")
+    path = directory / "history.tsv"
     history = []
-    lines = (directory / "history.tsv").read_text().splitlines()[1:]
-    for line in lines:
-        epoch, loss, acc = line.split("\t")
-        history.append({"epoch": int(epoch), "loss": float(loss),
-                        "val_accuracy": float(acc)})
+    try:
+        for line in path.read_text().splitlines()[1:]:
+            epoch, loss, acc = line.split("\t")
+            history.append({"epoch": int(epoch), "loss": float(loss),
+                            "val_accuracy": float(acc)})
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a training history ({exc})") from None
     scaler = None
     if (directory / "scaler.json").exists():
-        with open(directory / "scaler.json") as fh:
-            rec = json.load(fh)
-        scaler = Scaler(np.array(rec["mean"]), np.array(rec["std"]))
+        scaler = Scaler.load(directory / "scaler.json")
     return TrainedModel(config, params, history, scaler)

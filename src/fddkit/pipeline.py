@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Scaler, WindowBatch, concat_batches, make_windows
+from .dataio import Scaler, concat_batches, make_windows
 from .errors import ConfigError
-from .hierarchy import (HierarchicalModel, combined_metrics,
-                        regroup_labels)
+from .hierarchy import HierarchicalModel, regroup_labels
 from .metrics import build_report, confusion
 from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
 from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
@@ -163,11 +162,9 @@ def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     train_b = scenario_batch(seed, "train", spec)
     merged, lmap = regroup_labels(train_b.labels, spec.incipient,
                                   n_classes=max(spec.classes) + 1)
-    l1_batch = WindowBatch(windows=train_b.windows, labels=merged,
-                           starts=train_b.starts, series=train_b.series)
     cfg1 = classifier_config(lmap.n_level1, seed, spec,
                              n_features=train_b.n_features)
-    level1 = fit_classifier(l1_batch, cfg1)
+    level1 = fit_classifier(train_b.relabel(merged), cfg1)
     level2 = _fit_level2(seed, spec, prbs)
     return HierarchicalModel(level1, level2, lmap)
 
@@ -183,49 +180,33 @@ def _fit_level2(seed, spec, prbs):
     lmap = _level2_map(spec)
     sub_train = scenario_batch(seed, "train", spec,
                                classes=spec.level2_classes, prbs=prbs)
-    sub = WindowBatch(windows=sub_train.windows,
-                      labels=lmap.to_level2(sub_train.labels),
-                      starts=sub_train.starts, series=sub_train.series)
     cfg2 = classifier_config(lmap.n_level2, seed, spec,
                              n_features=sub_train.n_features)
-    return fit_classifier(sub, cfg2)
-
-
-def _apply_scaler(model, windows):
-    if model.scaler is None:
-        return windows
-    return model.scaler.apply(windows)
+    return fit_classifier(sub_train.relabel(lmap.to_level2(sub_train.labels)),
+                          cfg2)
 
 
 def infer_with_twins(hmodel, quiet_batch, excited_batch):
     """Route on quiet windows; re-examine routed ones on excited twins.
 
     The two batches must be sample-aligned builds of the same scenario
-    recipe, differing only in excitation.
+    recipe, differing only in excitation. Passing one batch as both
+    routes and re-examines on the same windows.
     """
-    if quiet_batch.windows.shape != excited_batch.windows.shape:
-        raise ConfigError("twin batches do not align")
     if not np.array_equal(quiet_batch.labels, excited_batch.labels):
         raise ConfigError("twin batches do not align")
-    pred1 = hmodel.level1.predict(
-        _apply_scaler(hmodel.level1, quiet_batch.windows))
-    out = hmodel.label_map.from_level1(pred1)
-    routed = np.flatnonzero(pred1 == 0)
-    if routed.size:
-        pred2 = hmodel.level2.predict(
-            _apply_scaler(hmodel.level2, excited_batch.windows[routed]))
-        out[routed] = hmodel.label_map.from_level2(pred2)
-    return out
+    return hmodel.infer_batch(quiet_batch.windows,
+                              probed=excited_batch.windows)
 
 
 def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,
                           metadata=None):
-    """Combined original-alphabet report on the test split."""
+    """Combined original-alphabet report on the test split, with level 2
+    on its probed twin when a plan is given."""
     quiet = scenario_batch(seed, "test", spec)
-    if prbs is None:
-        return combined_metrics(hmodel, quiet, metadata=metadata)
-    excited = scenario_batch(seed, "test", spec, prbs=prbs)
-    preds = infer_with_twins(hmodel, quiet, excited)
+    probed = (quiet if prbs is None
+              else scenario_batch(seed, "test", spec, prbs=prbs))
+    preds = infer_with_twins(hmodel, quiet, probed)
     cm = confusion(quiet.labels, preds, hmodel.label_map.n_original)
     return build_report(cm, normal=0, metadata=metadata)
 

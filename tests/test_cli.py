@@ -7,7 +7,7 @@ import pytest
 
 import fddkit.cli
 from fddkit.cli import main
-from fddkit.dataio import load_labels, load_matrix
+from fddkit.dataio import Scaler, load_labels, load_matrix
 from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
 
 TINY_SURROGATE = {
@@ -268,3 +268,87 @@ def test_corrupt_params_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "rep")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("fddkit: ") and err.count("\n") == 1
+
+
+def test_tune_rejects_unknown_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path / "tune.json",
+                       {"seed": 1, "surrogate": TINY_SURROGATE,
+                        "mode": "sideways"})
+    assert main(["tune", "--config", cfg,
+                 "--out", str(tmp_path / "tuned")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fddkit: ") and err.count("\n") == 1
+    assert "flat, level1, level2" in err and "'sideways'" in err
+
+
+def _corrupt_scaler_text(kind, rng):
+    if kind == "junk":
+        return bytes(rng.integers(0, 256, size=int(rng.integers(1, 64)),
+                                  dtype=np.uint8))
+    n = int(rng.integers(1, 11))
+    vals = rng.normal(size=n).tolist()
+    rec = {"list": [1, 2],
+           "no_std": {"mean": vals},
+           "string_mean": {"mean": "0.0", "std": [1.0] * n}}[kind]
+    return json.dumps(rec).encode()
+
+
+def _saved_model(directory):
+    config = ModelConfig(encoder=(5,), decoder=(10,), n_features=10,
+                         n_classes=3, horizon=10)
+    save_model(TrainedModel(config, build_params(config), [
+        {"epoch": 0, "loss": 1.5, "val_accuracy": 0.5}],
+        Scaler(np.zeros(10), np.ones(10))), directory)
+    return directory
+
+
+def _assert_one_line_exit_one(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fddkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["junk", "list", "no_std", "string_mean"])
+def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    bad = tmp_path / "scaler.json"
+    bad.write_bytes(_corrupt_scaler_text(kind, rng))
+    sim = write_config(tmp_path / "sim.json", {"seed": 4, "horizon": 60})
+    raw = tmp_path / "raw"
+    assert main(["simulate", "--config", sim, "--out", str(raw)]) == 0
+    ing = write_config(tmp_path / "ingest.json", {
+        "seed": 4, "data": str(raw / "records.txt"),
+        "labels": str(raw / "labels.txt"), "window": 10,
+        "split": {"train": 0.0, "val": 0.0, "test": 1.0},
+        "scaler": str(bad)})
+    assert "scaler" in _assert_one_line_exit_one(
+        ["ingest", "--config", ing, "--out", str(tmp_path / "arc")], capsys)
+    model_dir = _saved_model(tmp_path / "model")
+    (model_dir / "scaler.json").write_bytes(bad.read_bytes())
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir)})
+    assert "scaler" in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("config.json", "{nope"),
+    ("config.json", None),   # an unknown key
+    ("history.tsv", "epoch\tloss\tval_accuracy\n0\t1.5\n"),
+])
+def test_corrupt_model_files_exit_one(tmp_path, capsys, name, text):
+    model_dir = _saved_model(tmp_path / "model")
+    if text is None:
+        cfg = json.loads((model_dir / name).read_text())
+        text = json.dumps({**cfg, "dropout": 0.5})
+    (model_dir / name).write_text(text)
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir)})
+    assert name in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)

@@ -97,6 +97,63 @@ def test_standardize_column_mismatch():
         scaler.apply(np.zeros((5, 4)))
 
 
+# The exact bytes scaler.json has always had: sorted keys, two-space
+# indent, shortest round-trip floats, a trailing newline.
+FROZEN_SCALER_TEXT = """{
+  "mean": [
+    0.1,
+    -2.0,
+    1e-17,
+    12345.678901234567
+  ],
+  "std": [
+    1.0,
+    0.5,
+    3.25,
+    2.220446049250313e-16
+  ]
+}
+"""
+
+
+def test_scaler_save_load_round_trip(tmp_path):
+    scaler = Scaler(mean=[0.1, -2.0, 1e-17, 12345.678901234567],
+                    std=[1.0, 0.5, 3.25, 2.220446049250313e-16])
+    scaler.save(tmp_path / "scaler.json")
+    assert (tmp_path / "scaler.json").read_text() == FROZEN_SCALER_TEXT
+    back = Scaler.load(tmp_path / "scaler.json")
+    assert back.mean.tobytes() == scaler.mean.tobytes()
+    assert back.std.tobytes() == scaler.std.tobytes()
+    rng = np.random.default_rng(7)
+    _, fitted = standardize(rng.normal(3.0, 2.0, size=(40, 5)))
+    fitted.save(tmp_path / "fitted.json")
+    again = Scaler.load(tmp_path / "fitted.json")
+    assert again.mean.tobytes() == fitted.mean.tobytes()
+    assert again.std.tobytes() == fitted.std.tobytes()
+
+
+@pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"mean": [0.0]}',
+                                  '{"mean": "0", "std": [1.0]}',
+                                  '{"mean": [true], "std": [1.0]}'])
+def test_scaler_load_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "scaler.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="scaler.json"):
+        Scaler.load(path)
+
+
+def test_relabel_keeps_windows_and_provenance():
+    batch = make_windows(np.arange(24.0).reshape(12, 2),
+                         np.zeros(12, dtype=int), 4, series_id=3)
+    out = batch.relabel(np.arange(len(batch)))
+    assert out.windows is batch.windows
+    assert out.starts is batch.starts and out.series is batch.series
+    np.testing.assert_array_equal(out.labels, np.arange(len(batch)))
+    np.testing.assert_array_equal(batch.labels, 0)
+    with pytest.raises(DimensionError):
+        batch.relabel([0, 1])
+
+
 def test_make_windows_counts_and_labels():
     series = np.arange(480.0 * 2).reshape(480, 2)
     labels = np.zeros(480, dtype=int)

@@ -112,6 +112,26 @@ def test_per_level_scalers_are_honored():
                                       batch.windows)
 
 
+def test_infer_batch_routes_level2_on_its_own_windows_by_default():
+    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+    cfg1 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
+                       n_classes=lmap.n_level1, horizon=4, seed=1)
+    cfg2 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
+                       n_classes=lmap.n_level2, horizon=4, seed=2)
+    level1 = TrainedModel(cfg1, build_params(cfg1), [],
+                          Scaler(mean=[0.5, -1.0], std=[2.0, 0.5]))
+    level2 = TrainedModel(cfg2, build_params(cfg2), [],
+                          Scaler(mean=[-0.5, 1.0], std=[0.5, 2.0]))
+    model = HierarchicalModel(level1, level2, lmap)
+    w = _toy_batch(np.zeros(64, dtype=int), seed=3).windows
+    routed = level1.predict(level1.scaler.apply(w)) == 0
+    assert 0 < routed.sum() < len(w)   # both paths are exercised
+    np.testing.assert_array_equal(model.infer_batch(w),
+                                  model.infer_batch(w, probed=w))
+    with pytest.raises(ConfigError, match="twin batches do not align"):
+        model.infer_batch(w, probed=w[:-1])
+
+
 def test_merged_subset_filters_and_relabels():
     _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
     batch = _toy_batch([0, 1, 3, 9, 11, 5, 0])

@@ -1,7 +1,5 @@
 """Scenario batches, experiment glue, twin-batch evaluation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -102,9 +100,31 @@ def test_infer_with_twins_rejects_misalignment():
     hmodel = fit_hierarchical(1, SMALL_HIER)
     quiet = scenario_batch(1, "test", SMALL_HIER)
     other = scenario_batch(2, "test", SMALL_HIER)
-    bad = dataclasses.replace(other) if False else other
     with pytest.raises(ConfigError):
-        infer_with_twins(hmodel, quiet, bad.take(np.arange(3)))
+        infer_with_twins(hmodel, quiet, other.take(np.arange(3)))
+    # same windows, one label off
+    labels = quiet.labels.copy()
+    labels[-1] += 1
+    with pytest.raises(ConfigError, match="twin batches do not align"):
+        infer_with_twins(hmodel, quiet, quiet.relabel(labels))
+
+
+def test_infer_with_twins_matches_hand_composed_reference():
+    hmodel = fit_hierarchical(1, SMALL_HIER, prbs=default_excitation())
+    quiet = scenario_batch(1, "test", SMALL_HIER)
+    probed = scenario_batch(1, "test", SMALL_HIER, prbs=default_excitation())
+    assert quiet.windows.tobytes() != probed.windows.tobytes()
+    l1, l2, lmap = hmodel.level1, hmodel.level2, hmodel.label_map
+    pred1 = l1.predict(l1.scaler.apply(quiet.windows))
+    routed = np.flatnonzero(pred1 == 0)
+    assert 0 < routed.size < len(quiet)
+    expect = lmap.from_level1(pred1)
+    expect[routed] = lmap.from_level2(
+        l2.predict(l2.scaler.apply(probed.windows[routed])))
+    got = infer_with_twins(hmodel, quiet, probed)
+    np.testing.assert_array_equal(got, expect)
+    # level 2 read the probed rows: on the quiet rows it answers otherwise
+    assert not np.array_equal(got, hmodel.infer_batch(quiet.windows))
 
 
 def test_level2_accuracies_keys():
