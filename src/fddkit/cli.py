@@ -10,14 +10,15 @@ import argparse
 import dataclasses
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (Scaler, SplitSpec, WindowBatch, load_labels,
-                     load_matrix, make_windows, save_labels, save_matrix,
-                     split)
-from .errors import ConfigError, FddError, NumericError
+                     load_matrix, make_windows, read_json, save_labels,
+                     save_matrix, split)
+from .errors import ConfigError, FddError, FormatError, NumericError
 from .hierarchy import HierarchicalModel, merged_subset, regroup_labels
 from .metrics import (build_report, confusion, format_report, load_report,
                       save_report)
@@ -35,12 +36,9 @@ MODES = ("flat", "level1", "level2")
 
 def _load_config(path):
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     seed = cfg.get("seed")
@@ -56,6 +54,9 @@ def _require(cfg, key):
 
 
 def _check_keys(node, allowed, what):
+    """Reject a node that is not a JSON object or has keys outside allowed."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"config key {what!r} must be a JSON object")
     extra = set(node) - set(allowed)
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
@@ -85,7 +86,7 @@ def _fault_from(cfg):
     node = cfg.get("fault")
     if node is None:
         return None
-    if "class" in node:
+    if isinstance(node, dict) and "class" in node:
         _check_keys(node, ("class", "onset"), "fault")
         lib = default_fault_library(onset=int(node.get("onset", 100)))
         cls = int(node["class"])
@@ -99,15 +100,15 @@ def _fault_from(cfg):
     return FaultSpec(**kwargs)
 
 
-def _plan_from(cfg, plant, key="prbs"):
-    node = cfg.get(key)
+def _plan_from(cfg, plant):
+    node = cfg.get("prbs")
     if node is None:
         return None
     if node == "default":
         return default_excitation(plant)
     if isinstance(node, str):
         return load_plan(node)
-    if "plan" in node:
+    if isinstance(node, dict) and "plan" in node:
         return load_plan(node["plan"])
     _check_keys(node, ("tau_ol", "tau_cl", "s_f", "omega_low", "omega_high",
                        "omega_nyquist", "t_s", "amplitude", "burst_len",
@@ -194,6 +195,7 @@ def cmd_ingest(args):
     window = int(_require(cfg, "window"))
     batch = make_windows(data, labels, window)
     node = cfg.get("split", {"train": 0.6, "val": 0.2, "test": 0.2})
+    _check_keys(node, ("train", "val", "test"), "split")
     spec = SplitSpec(train=float(node.get("train", 0.0)),
                      val=float(node.get("val", 0.0)),
                      test=float(node.get("test", 0.0)),
@@ -209,8 +211,7 @@ def cmd_ingest(args):
             "no train windows to fit a scaler on; use a nonzero train "
             "fraction or point 'scaler' at a saved scaler.json")
     else:
-        scaler = Scaler.fit(
-            parts["train"].windows.reshape(-1, batch.n_features))
+        scaler = Scaler.fit(parts["train"].windows)
     out = _out_dir(args)
     counts = {}
     for name, part in parts.items():
@@ -232,13 +233,24 @@ def cmd_ingest(args):
     return 0
 
 
+def _load_array(path):
+    """A numeric array from a .npy file; FormatError if it holds none."""
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a numeric .npy array ({exc})") from None
+    if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":
+        raise FormatError(f"{path}: not a numeric .npy array")
+    return arr
+
+
 def _archive_batch(directory, name):
     directory = Path(directory)
     wfile = directory / f"{name}_windows.npy"
     lfile = directory / f"{name}_labels.npy"
     if not wfile.exists():
         return None
-    return WindowBatch(windows=np.load(wfile), labels=np.load(lfile))
+    return WindowBatch(windows=_load_array(wfile), labels=_load_array(lfile))
 
 
 def _training_data(cfg, mode, seed, surrogate_val=False):
@@ -288,14 +300,17 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     return rewrap(train_b), rewrap(val_b), n_out, spec
 
 
+# ModelConfig fields a config's model node (and tune's search space) may set
+MODEL_KEYS = ("encoder", "decoder", "lam1", "lam2", "lam3", "learning_rate",
+              "epochs", "batch_size")
+
+
 def _model_config(cfg, spec, n_classes, n_features, seed):
     base = classifier_config(n_classes, seed, spec, n_features=n_features)
     node = cfg.get("model", {})
-    allowed = ("encoder", "decoder", "lam1", "lam2", "lam3",
-               "learning_rate", "epochs", "batch_size")
-    _check_keys(node, allowed, "model")
+    _check_keys(node, MODEL_KEYS, "model")
     rep = {}
-    for k in allowed:
+    for k in MODEL_KEYS:
         if k in node:
             v = node[k]
             rep[k] = tuple(v) if isinstance(v, list) else v
@@ -329,6 +344,8 @@ def cmd_tune(args):
         raise ConfigError(f"no val split under {cfg['archive']} to tune on")
     mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
     space = cfg.get("search_space")
+    if space is not None:
+        _check_keys(space, MODEL_KEYS, "search_space")
     model = tune_classifier(train_b, val_b, mcfg, search_space=space,
                             budget=int(cfg.get("budget", 4)))
     out = _out_dir(args)

@@ -32,7 +32,11 @@ class Scaler:
 
     @classmethod
     def fit(cls, data):
+        """Column statistics over all leading axes of data (..., d_x)."""
         data = np.asarray(data, dtype=np.float64)
+        if data.ndim < 2:
+            raise DimensionError("scaler data must be (..., d_x)")
+        data = data.reshape(-1, data.shape[-1])
         mean = data.mean(axis=0)
         std = data.std(axis=0)
         # Constant columns would divide by zero; clamp them to pass through.
@@ -47,9 +51,6 @@ class Scaler:
                 f"{data.shape[-1]}")
         return (data - self.mean) / self.std
 
-    def inverse(self, data):
-        return np.asarray(data) * self.std + self.mean
-
     def save(self, path):
         """Write mean and std as sorted-key JSON (scaler.json)."""
         with open(path, "w") as fh:
@@ -60,11 +61,7 @@ class Scaler:
     @classmethod
     def load(cls, path):
         """Read a file written by save; FormatError if it is not one."""
-        try:
-            with open(path) as fh:
-                rec = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        rec = read_json(path)
         if not (isinstance(rec, dict) and all(
                 isinstance(rec.get(key), list)
                 and all(type(v) in (int, float) for v in rec[key])
@@ -74,14 +71,22 @@ class Scaler:
         return cls(rec["mean"], rec["std"])
 
 
-def standardize(data, scaler=None):
-    """Standardize columns; fit a new scaler when none is supplied.
+def read_json(path):
+    """The JSON value in a UTF-8 text file; FormatError if it holds none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:   # also UnicodeDecodeError
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
-    Returns (standardized data, scaler used).
-    """
-    if scaler is None:
-        scaler = Scaler.fit(data)
-    return scaler.apply(data), scaler
+
+def _numbered_lines(path):
+    """(line number, line) pairs of a text file; FormatError if not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 @dataclass
@@ -137,9 +142,8 @@ class WindowBatch:
                            self.starts[idx], self.series[idx])
 
     def scaled(self, scaler):
-        flat = self.windows.reshape(-1, self.n_features)
-        out = scaler.apply(flat).reshape(self.windows.shape)
-        return WindowBatch(out, self.labels, self.starts, self.series)
+        return WindowBatch(scaler.apply(self.windows), self.labels,
+                           self.starts, self.series)
 
     def relabel(self, labels):
         """The same windows, starts and series under new labels."""
@@ -169,23 +173,22 @@ def load_matrix(path, expected_cols=None):
     """
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {width} columns, found "
-                    f"{len(tokens)}")
-            try:
-                rows.append([float(tok) for tok in tokens])
-            except ValueError:
-                bad = next(t for t in tokens if not _is_number(t))
-                raise FormatError(
-                    f"{path}:{lineno}: non-numeric token {bad!r}") from None
+    for lineno, line in _numbered_lines(path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise FormatError(
+                f"{path}:{lineno}: expected {width} columns, found "
+                f"{len(tokens)}")
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError:
+            bad = next(t for t in tokens if not _is_number(t))
+            raise FormatError(
+                f"{path}:{lineno}: non-numeric token {bad!r}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     data = np.array(rows, dtype=np.float64)
@@ -216,16 +219,15 @@ def save_matrix(path, data):
 
 def load_labels(path):
     labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.strip()
-            if not tok:
-                continue
-            try:
-                labels.append(int(tok))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: label {tok!r} is not an integer") from None
+    for lineno, line in _numbered_lines(path):
+        tok = line.strip()
+        if not tok:
+            continue
+        try:
+            labels.append(int(tok))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: label {tok!r} is not an integer") from None
     return np.array(labels, dtype=np.int64)
 
 
@@ -235,8 +237,9 @@ def save_labels(path, labels):
             fh.write(f"{int(lab)}\n")
 
 
-def make_windows(series, labels, horizon, series_id=0):
-    """Stride-1 sliding windows; each window is labeled by its last sample."""
+def make_windows(series, labels, horizon):
+    """Stride-1 sliding windows of one series (series id 0); each window
+    is labeled by its last sample."""
     series = np.asarray(series, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if series.ndim != 2:
@@ -251,8 +254,7 @@ def make_windows(series, labels, horizon, series_id=0):
     # Windowed view, then copy so the batch owns its memory.
     idx = np.arange(horizon)[None, :] + np.arange(n)[:, None]
     return WindowBatch(series[idx], labels[horizon - 1:],
-                       np.arange(n, dtype=np.int64),
-                       np.full(n, series_id, dtype=np.int64))
+                       np.arange(n, dtype=np.int64))
 
 
 @dataclass

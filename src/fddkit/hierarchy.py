@@ -80,19 +80,18 @@ class LabelMap:
         return table[np.asarray(labels)]
 
 
-def regroup_labels(labels, incipient_classes, n_classes=None):
+def regroup_labels(labels, incipient_classes, n_classes):
     """Merge normal and incipient classes for level-1 training.
 
-    Returns the relabeled array plus the LabelMap that can undo the
-    renumbering. Non-merged classes keep their relative order but are
-    packed densely after the merged group at index 0.
+    Returns the relabeled array plus the LabelMap over the n_classes
+    original classes that can undo the renumbering. Non-merged classes
+    keep their relative order but are packed densely after the merged
+    group at index 0.
     """
     labels = np.asarray(labels)
     incipient = tuple(sorted(set(int(c) for c in incipient_classes)))
     if 0 in incipient:
         raise ConfigError("the normal class is merged implicitly")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1 if labels.size else 1
     if incipient and max(incipient) >= n_classes:
         raise ConfigError("incipient class outside the label alphabet")
     rest = [c for c in range(1, n_classes) if c not in incipient]
@@ -148,13 +147,9 @@ class HierarchicalModel:
             out[routed] = self.label_map.from_level2(pred2)
         return out
 
-    def infer(self, window):
-        return int(self.infer_batch(np.asarray(window)[None])[0])
 
-
-def combined_metrics(model, batch, metadata=None, avg_classes=None):
+def combined_metrics(model, batch, metadata=None):
     """Evaluate a HierarchicalModel over the full original alphabet."""
     preds = model.infer_batch(batch.windows)
     cm = confusion(batch.labels, preds, model.label_map.n_original)
-    return build_report(cm, normal=0, avg_classes=avg_classes,
-                        metadata=metadata)
+    return build_report(cm, normal=0, metadata=metadata)

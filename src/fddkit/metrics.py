@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UndefinedMetricError
+from .dataio import load_matrix, read_json
+from .errors import (ConfigError, DimensionError, FormatError,
+                     UndefinedMetricError)
 
 
 @dataclass
@@ -102,23 +104,16 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def build_report(cm, normal=0, avg_classes=None, metadata=None):
+def build_report(cm, normal=0, metadata=None):
     """Assemble an EvalReport from a confusion matrix.
 
     Per-class rates are computed for every class with at least one true
-    sample; the average is over avg_classes (default: every non-normal
-    class that has true samples).
+    sample; the average is over every non-normal class that has true
+    samples.
     """
     present = [i for i in range(cm.n_classes) if cm.counts[i].sum() > 0]
     rates = {i: fdr(cm, i) for i in present}
-    if avg_classes is None:
-        avg_classes = tuple(i for i in present if i != normal)
-    else:
-        avg_classes = tuple(avg_classes)
-        missing = [i for i in avg_classes if i not in rates]
-        if missing:
-            raise UndefinedMetricError(
-                f"average requested over absent classes {missing}")
+    avg_classes = tuple(i for i in present if i != normal)
     rate = far(cm, normal) if cm.counts[normal].sum() > 0 else None
     avg = float(np.mean([rates[i] for i in avg_classes])) if avg_classes else None
     return EvalReport(cm, rates, rate, avg, avg_classes, normal,
@@ -149,22 +144,28 @@ def confusion_to_text(cm):
 
 
 def load_report(directory):
-    """Rebuild an EvalReport from a save_report directory."""
+    """Rebuild an EvalReport from a save_report directory; FormatError if
+    a file is damaged."""
     directory = Path(directory)
-    counts = np.atleast_2d(
-        np.loadtxt(directory / "confusion.txt", dtype=np.int64))
-    with open(directory / "summary.json") as fh:
-        summary = json.load(fh)
-    return EvalReport(
-        cm=ConfusionMatrix(counts),
-        fdr_by_class={int(k): float(v)
-                      for k, v in summary["fdr_by_class"].items()},
-        far=summary["far"],
-        avg_fdr=summary["average_fdr"],
-        avg_classes=tuple(summary["average_classes"]),
-        normal_class=summary["normal_class"],
-        metadata=dict(summary["metadata"]),
-    )
+    path = directory / "confusion.txt"
+    counts = load_matrix(path)
+    if not np.all((counts == np.round(counts)) & (np.abs(counts) <= 2 ** 53)):
+        raise FormatError(f"{path}: confusion counts must be whole numbers")
+    path = directory / "summary.json"
+    summary = read_json(path)
+    try:
+        return EvalReport(
+            cm=ConfusionMatrix(counts),
+            fdr_by_class={int(k): float(v)
+                          for k, v in summary["fdr_by_class"].items()},
+            far=summary["far"],
+            avg_fdr=summary["average_fdr"],
+            avg_classes=tuple(summary["average_classes"]),
+            normal_class=summary["normal_class"],
+            metadata=dict(summary["metadata"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a report summary ({exc!r})") from None
 
 
 def save_report(report, directory):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .dataio import Scaler, WindowBatch
+from .dataio import Scaler, WindowBatch, read_json
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericDivergenceError)
 from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
@@ -32,6 +32,9 @@ GRAD_CLIP = 5.0
 # Learning-rate grid searched by default; the other fields stay at the
 # base config unless a search space overrides them.
 DEFAULT_SEARCH_SPACE = {"learning_rate": [1e-1, 2e-1, 3e-1, 1e-2]}
+
+# Epochs of the first successive-halving stage; each later stage doubles it.
+STAGE_EPOCHS = 2
 
 
 @dataclass
@@ -266,15 +269,15 @@ def train(train_batch, val_batch, config, scaler=None):
     return TrainedModel(config, final, history, scaler)
 
 
-def tune(train_batch, val_batch, search_space, budget, seed, base=None,
-         stage_epochs=2, scaler=None, return_trials=False):
-    """Successive-halving hyperparameter search.
+def tune(train_batch, val_batch, search_space, budget, base, scaler=None,
+         return_trials=False):
+    """Successive-halving hyperparameter search around a base config.
 
-    Samples `budget` configs from the search space, trains each from
-    scratch for a short stage, keeps the better half by validation
-    accuracy (lower trial index on ties), doubles the stage length, and
-    repeats until one survives. Returns that trial's config with the base
-    epoch count restored.
+    Samples `budget` configs from the search space with base.seed, trains
+    each from scratch for a short stage, keeps the better half by
+    validation accuracy (lower trial index on ties), doubles the stage
+    length, and repeats until one survives. Returns that trial's config
+    with the base epoch count restored.
     """
     if not search_space:
         raise ConfigError("search space is empty")
@@ -282,13 +285,8 @@ def tune(train_batch, val_batch, search_space, budget, seed, base=None,
         raise ConfigError("budget must be at least 1")
     if val_batch is None or len(val_batch) == 0:
         raise ConfigError("tuning needs a nonempty validation batch")
-    if base is None:
-        base = ModelConfig(encoder=(8,), decoder=(train_batch.n_features,),
-                           n_features=train_batch.n_features,
-                           n_classes=int(train_batch.labels.max()) + 1,
-                           horizon=train_batch.horizon, seed=seed)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base.seed)
     trials = []
     for j in range(budget):
         drawn = {key: search_space[key][rng.integers(len(search_space[key]))]
@@ -296,7 +294,7 @@ def tune(train_batch, val_batch, search_space, budget, seed, base=None,
         trials.append(replace(base, seed=base.seed + j, **drawn))
 
     alive = list(range(budget))
-    stage = stage_epochs
+    stage = STAGE_EPOCHS
     log = []
     while len(alive) > 1:
         scored = []
@@ -337,9 +335,9 @@ def save_model(model, directory):
 def load_model(directory):
     """Read a save_model directory; FormatError if a file is damaged."""
     path = directory / "config.json"
+    rec = read_json(path)
     try:
-        with open(path) as fh:
-            config = ModelConfig(**json.load(fh))
+        config = ModelConfig(**rec)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a model config ({exc})") from None
     params = load_params(directory / "params.bin")

@@ -30,16 +30,15 @@ SURROGATE_TAU_OL = 1800.0
 SURROGATE_TAU_CL = 1030.0
 
 
-def default_excitation(plant=None, target="loop1", amplitude=None):
-    """The stock set-point excitation plan for the surrogate plant."""
-    if plant is None:
-        plant = default_plant()
+def default_excitation(plant):
+    """The stock set-point excitation plan for a surrogate plant: loop 1,
+    at 2 % of that loop's set-point range."""
     band = design_band(SURROGATE_TAU_OL, SURROGATE_TAU_CL,
                        omega_nyquist=np.pi / plant.t_s)
+    target = "loop1"
     loop = _target_loop(target, plant.n_loops)
-    if amplitude is None:
-        amplitude = 0.02 * plant.setpoint_ranges[loop]
-    return plan_from_band(band, plant.t_s, amplitude=amplitude,
+    return plan_from_band(band, plant.t_s,
+                          amplitude=0.02 * plant.setpoint_ranges[loop],
                           target=target)
 
 
@@ -77,20 +76,18 @@ class ExperimentSpec:
 
 
 def scenario_batch(seed, split, spec=ExperimentSpec(), classes=None,
-                   prbs=None, n_series=None):
+                   prbs=None):
     """Windowed data for one split, one series per (class, repeat) pair.
 
     classes defaults to the full recipe; passing a subset (the merged
-    group) also bumps the series count to the level-2 setting unless
-    n_series is given explicitly.
+    group) also bumps the series count to the level-2 setting.
     """
     if split not in SPLIT_BASES:
         raise ConfigError(f"unknown split {split!r}")
     base = SPLIT_BASES[split] + 1000 * int(seed)
     lib = spec.fault_library()
     use_classes = spec.classes if classes is None else classes
-    if n_series is None:
-        n_series = spec.n_series if classes is None else spec.n_series_level2
+    n_series = spec.n_series if classes is None else spec.n_series_level2
     parts = []
     for i, cls in enumerate(use_classes):
         for r in range(n_series):
@@ -121,8 +118,7 @@ def classifier_config(n_classes, seed, spec=ExperimentSpec(),
 
 def fit_classifier(train_batch, config, val_batch=None):
     """Standardize on the training split, then train."""
-    scaler = Scaler.fit(
-        train_batch.windows.reshape(-1, train_batch.n_features))
+    scaler = Scaler.fit(train_batch.windows)
     scaled_val = val_batch.scaled(scaler) if val_batch is not None else None
     return train(train_batch.scaled(scaler), scaled_val, config,
                  scaler=scaler)
@@ -131,22 +127,20 @@ def fit_classifier(train_batch, config, val_batch=None):
 def tune_classifier(train_batch, val_batch, config, search_space=None,
                     budget=4):
     """Successive-halving search, then a full fit at the winning config."""
-    scaler = Scaler.fit(
-        train_batch.windows.reshape(-1, train_batch.n_features))
+    scaler = Scaler.fit(train_batch.windows)
     space = DEFAULT_SEARCH_SPACE if search_space is None else search_space
     scaled_train = train_batch.scaled(scaler)
     scaled_val = val_batch.scaled(scaler)
-    best = tune(scaled_train, scaled_val, space, budget, config.seed,
-                base=config, scaler=scaler)
+    best = tune(scaled_train, scaled_val, space, budget, config,
+                scaler=scaler)
     return train(scaled_train, scaled_val, best, scaler=scaler)
 
 
-def evaluate_classifier(model, batch, metadata=None, avg_classes=None):
+def evaluate_classifier(model, batch, metadata=None):
     scaled = batch.scaled(model.scaler) if model.scaler is not None else batch
     preds = model.predict(scaled)
     cm = confusion(batch.labels, preds, model.config.n_classes)
-    return build_report(cm, normal=0, avg_classes=avg_classes,
-                        metadata=metadata)
+    return build_report(cm, normal=0, metadata=metadata)
 
 
 def fit_flat(seed, spec=ExperimentSpec()):

@@ -9,7 +9,8 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, DesignError
+from .dataio import read_json
+from .errors import ConfigError, DesignError, FormatError
 
 # Primitive-polynomial tap positions for a Fibonacci LFSR, by register length.
 # Feedback is the XOR of these bit positions (1-indexed, bit n is the output).
@@ -137,13 +138,13 @@ def plan_from_band(band, t_s, amplitude, burst_len=DEFAULT_BURST_LEN,
                     burst_len, burst_interval, target)
 
 
-def generate_mls(n, taps=None, cycles=1, seed_state=1, amplitude=1.0):
-    """Maximum-length sequence as +-amplitude values.
+def generate_mls(n, taps=None, amplitude=1.0):
+    """One period of a maximum-length sequence as +-amplitude values.
 
-    A Fibonacci LFSR over n bits: the output is bit n, the feedback (XOR of
-    the tap bits) shifts in at bit 1. With primitive taps the state walks
-    all 2^n - 1 nonzero patterns, so one period has 2^(n-1) highs and
-    2^(n-1) - 1 lows.
+    A Fibonacci LFSR over n bits, started from state 1: the output is bit
+    n, the feedback (XOR of the tap bits) shifts in at bit 1. With
+    primitive taps the state walks all 2^n - 1 nonzero patterns, so one
+    period has 2^(n-1) highs and 2^(n-1) - 1 lows.
     """
     if not 2 <= n <= MAX_REGISTER:
         raise DesignError(f"register length must be in [2, {MAX_REGISTER}]")
@@ -151,12 +152,8 @@ def generate_mls(n, taps=None, cycles=1, seed_state=1, amplitude=1.0):
         taps = TAPS[n]
     if max(taps) != n or min(taps) < 1:
         raise DesignError(f"taps {taps} do not fit an n-bit register")
-    if cycles < 1:
-        raise DesignError("cycles must be at least 1")
     mask = (1 << n) - 1
-    state = int(seed_state) & mask
-    if state == 0:
-        raise DesignError("seed state must be nonzero; the all-zero state is a fixed point")
+    state = 1
 
     period = 2 ** n - 1
     bits = np.empty(period, dtype=np.int64)
@@ -166,16 +163,14 @@ def generate_mls(n, taps=None, cycles=1, seed_state=1, amplitude=1.0):
         for tap in taps:
             fb ^= (state >> (tap - 1)) & 1
         state = ((state << 1) | fb) & mask
-    seq = amplitude * (2.0 * bits - 1.0)
-    return np.tile(seq, cycles)
+    return amplitude * (2.0 * bits - 1.0)
 
 
-def prbs_spectrum(amplitude, period, t_clock, omega, normalized_sinc=False):
+def prbs_spectrum(amplitude, period, t_clock, omega):
     """Analytic PRBS power density at angular frequency omega (scalar or array).
 
-    The default evaluates A^2 (N+1) t_clock / N * [sin(w t/2) / (w t)]^2
-    with the w -> 0 limit A^2 (N+1) t_clock / (4N). With normalized_sinc
-    the bracket denominator is w t/2, which is 4x larger everywhere.
+    Evaluates A^2 (N+1) t_clock / N * [sin(w t/2) / (w t)]^2 with the
+    w -> 0 limit A^2 (N+1) t_clock / (4N).
     """
     if period < 1 or t_clock <= 0:
         raise DesignError("period and clock must be positive")
@@ -183,9 +178,8 @@ def prbs_spectrum(amplitude, period, t_clock, omega, normalized_sinc=False):
     if np.any(omega < 0):
         raise DesignError("omega must be nonnegative")
     x = omega * t_clock / 2.0
-    bracket = np.sinc(x / np.pi)      # sin(x)/x with the x = 0 limit built in
-    if not normalized_sinc:
-        bracket = bracket / 2.0
+    # sin(x)/x with the x = 0 limit built in, halved: sin(x)/(2x)
+    bracket = np.sinc(x / np.pi) / 2.0
     out = (amplitude ** 2) * (period + 1) * t_clock / period * bracket ** 2
     return float(out) if out.ndim == 0 else out
 
@@ -201,7 +195,7 @@ def schedule_injection(horizon, burst_len=DEFAULT_BURST_LEN,
     return ((idx % burst_interval) < burst_len).astype(np.int64)
 
 
-def prbs_waveform(plan, n_samples, t_s, seed_state=1):
+def prbs_waveform(plan, n_samples, t_s):
     """Sample-and-hold realization of a plan at the plant sample time.
 
     Each chip lasts t_clock = k*t_s, so it is held for k samples; the
@@ -210,8 +204,8 @@ def prbs_waveform(plan, n_samples, t_s, seed_state=1):
     k = int(round(plan.t_clock / t_s))
     if abs(k * t_s - plan.t_clock) > 1e-9 * plan.t_clock or k < 1:
         raise DesignError("plan clock is not a multiple of the sample time")
-    chips = generate_mls(plan.n_register, plan.taps, cycles=1,
-                         seed_state=seed_state, amplitude=plan.amplitude)
+    chips = generate_mls(plan.n_register, plan.taps,
+                         amplitude=plan.amplitude)
     held = np.repeat(chips, k)
     reps = int(np.ceil(n_samples / held.size))
     return np.tile(held, reps)[:n_samples]
@@ -227,13 +221,13 @@ def save_plan(plan, path):
 
 
 def load_plan(path):
-    with open(path) as fh:
-        rec = json.load(fh)
+    """Read a save_plan file; FormatError if it is not one."""
+    rec = read_json(path)
     try:
         return PrbsPlan(amplitude=rec["amplitude"], t_clock=rec["t_clock"],
                         n_register=rec["n_register"], period=rec["period"],
                         taps=tuple(rec["taps"]), burst_len=rec["burst_len"],
                         burst_interval=rec["burst_interval"],
                         target=rec.get("target", ""))
-    except KeyError as exc:
-        raise ConfigError(f"plan record {path} is missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: not a plan record ({exc!r})") from None

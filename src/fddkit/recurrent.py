@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, NumericError
 
-GATE_ORDER = ("forget", "input", "candidate", "output")
-
 _MAGIC = b"FDK1"
 
 
@@ -209,29 +207,22 @@ class LstmCache:
     c: np.ndarray        # (N, T, d_h)
     gates: np.ndarray    # (N, T, 4*d_h): forget, input, candidate, output
     tanh_c: np.ndarray   # (N, T, d_h)
-    h0: np.ndarray       # (N, d_h)
-    c0: np.ndarray
     params: LstmParams
 
 
-def _checked_input(x, params, h0, c0):
-    """The input as float64 (N, T, d_x) plus initial states, zeros when
-    omitted; rejects a wrong rank, non-finite values and a feature size
-    the layer does not take."""
+def _checked_input(x, params):
+    """The input as float64 (N, T, d_x); rejects a wrong rank, non-finite
+    values and a feature size the layer does not take."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected (N, T, d_x) input, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("LSTM input contains non-finite values")
-    n, _, d_x = x.shape
-    if d_x != params.d_x:
+    if x.shape[2] != params.d_x:
         raise DimensionError(
-            f"input feature size {d_x} does not match layer input size {params.d_x}")
-    if h0 is None:
-        h0 = np.zeros((n, params.d_h))
-    if c0 is None:
-        c0 = np.zeros((n, params.d_h))
-    return x, h0, c0
+            f"input feature size {x.shape[2]} does not match layer input "
+            f"size {params.d_x}")
+    return x
 
 
 def _gate_step(a, c_prev, d_h):
@@ -248,16 +239,14 @@ def _gate_step(a, c_prev, d_h):
     return gt, c, tanh_c, o * tanh_c
 
 
-def lstm_forward_batch(x, params, h0=None, c0=None):
-    """Run one LSTM layer over a batch of sequences, keeping the cache
-    that lstm_backward needs.
+def lstm_forward_batch(x, params):
+    """Run one LSTM layer over a batch of sequences from zero states,
+    keeping the cache that lstm_backward needs.
 
     Parameters
     ----------
     x : ndarray, shape (N, T, d_x)
     params : LstmParams
-    h0, c0 : ndarray (N, d_h), optional
-        Initial states; zeros when omitted.
 
     Returns
     -------
@@ -265,7 +254,7 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
     c : ndarray, shape (N, T, d_h)
     cache : LstmCache
     """
-    x, h0, c0 = _checked_input(x, params, h0, c0)
+    x = _checked_input(x, params)
     n, t_len, _ = x.shape
     d_h = params.d_h
 
@@ -277,18 +266,18 @@ def lstm_forward_batch(x, params, h0=None, c0=None):
     # Hoist the input projection out of the time loop; only the recurrent
     # term depends on the previous step.
     xw = x @ params.W.T + params.b
-    h_prev, c_prev = h0, c0
+    h_prev = c_prev = np.zeros((n, d_h))
     for t in range(t_len):
         a = xw[:, t] + h_prev @ params.R.T
         gates[:, t], c[:, t], tanh_c[:, t], h[:, t] = _gate_step(
             a, c_prev, d_h)
         h_prev, c_prev = h[:, t], c[:, t]
 
-    cache = LstmCache(x, h, c, gates, tanh_c, h0, c0, params)
+    cache = LstmCache(x, h, c, gates, tanh_c, params)
     return h, c, cache
 
 
-def lstm_hidden_batch(x, params, h0=None, c0=None):
+def lstm_hidden_batch(x, params):
     """Hidden states of one LSTM layer over a batch of sequences.
 
     Same arguments, checks and arithmetic as lstm_forward_batch, so the
@@ -296,10 +285,11 @@ def lstm_hidden_batch(x, params, h0=None, c0=None):
     backward pass: the only full-length array it allocates is the
     (N, T, d_h) hidden sequence.
     """
-    x, h_prev, c_prev = _checked_input(x, params, h0, c0)
+    x = _checked_input(x, params)
     n, t_len, _ = x.shape
     d_h = params.d_h
     h = np.empty((n, t_len, d_h))
+    h_prev = c_prev = np.zeros((n, d_h))
     # batch-major like lstm_forward_batch: a time-major product can take
     # another BLAS path and round differently
     xw = x @ params.W.T + params.b
@@ -310,7 +300,7 @@ def lstm_hidden_batch(x, params, h0=None, c0=None):
     return h
 
 
-def lstm_backward(cache, grad_h, grad_c_last=None):
+def lstm_backward(cache, grad_h):
     """Backpropagate through one layer's unrolled forward pass.
 
     Parameters
@@ -319,8 +309,6 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
         From lstm_forward_batch.
     grad_h : ndarray, shape (N, T, d_h)
         Loss gradient with respect to every hidden state.
-    grad_c_last : ndarray, optional
-        Extra gradient flowing into the final cell state.
 
     Returns
     -------
@@ -341,15 +329,16 @@ def lstm_backward(cache, grad_h, grad_c_last=None):
     db = np.zeros_like(p.b)
     dx = np.empty_like(cache.x)
     dh_next = np.zeros((n, d_h))
-    dc = np.zeros((n, d_h)) if grad_c_last is None else grad_c_last.astype(np.float64).copy()
+    dc = np.zeros((n, d_h))
+    zeros = np.zeros((n, d_h))   # the initial h and c
 
     da = np.empty((n, 4 * d_h))
     for t in range(t_len - 1, -1, -1):
         gt = cache.gates[:, t]
         f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
         tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
-        h_prev = cache.h[:, t - 1] if t > 0 else cache.h0
+        c_prev = cache.c[:, t - 1] if t > 0 else zeros
+        h_prev = cache.h[:, t - 1] if t > 0 else zeros
 
         dh = grad_h[:, t] + dh_next
         do = dh * tc

@@ -7,7 +7,9 @@ import pytest
 
 import fddkit.cli
 from fddkit.cli import main
-from fddkit.dataio import Scaler, load_labels, load_matrix
+from fddkit.dataio import (Scaler, load_labels, load_matrix, save_labels,
+                           save_matrix)
+from fddkit.metrics import build_report, confusion, save_report
 from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
 
 TINY_SURROGATE = {
@@ -352,3 +354,164 @@ def test_corrupt_model_files_exit_one(tmp_path, capsys, name, text):
                        "model": str(model_dir)})
     assert name in _assert_one_line_exit_one(
         ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+def _junk_bytes(rng):
+    """1-63 random bytes with a 0xff among them, so never UTF-8 text."""
+    raw = bytearray(rng.integers(0, 256, size=int(rng.integers(1, 64)),
+                                 dtype=np.uint8))
+    raw[int(rng.integers(len(raw)))] = 0xFF
+    return bytes(raw)
+
+
+def _cut_text(text, rng):
+    """text cut short before its closing brace, so no longer JSON."""
+    return text[:int(rng.integers(0, text.rindex("}")))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["junk", "cut", "list", "int_taps"])
+def test_corrupt_plan_exits_one(tmp_path, capsys, kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    good = write_config(tmp_path / "p.json", {"seed": 0, "prbs": "default"})
+    assert main(["prbs", "design", "--config", good,
+                 "--out", str(tmp_path / "plan")]) == 0
+    plan = tmp_path / "plan" / "plan.json"
+    text = plan.read_text()
+    if kind == "junk":
+        plan.write_bytes(_junk_bytes(rng))
+    elif kind == "cut":
+        plan.write_text(_cut_text(text, rng))
+    elif kind == "list":
+        plan.write_text(json.dumps(rng.normal(size=3).tolist()))
+    else:
+        plan.write_text(json.dumps({**json.loads(text),
+                                    "taps": int(rng.integers(2, 17))}))
+    sim = write_config(tmp_path / "sim.json",
+                       {"seed": 1, "horizon": 60, "prbs": str(plan)})
+    assert "plan.json" in _assert_one_line_exit_one(
+        ["simulate", "--config", sim, "--out", str(tmp_path / "run")],
+        capsys)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["confusion_token", "confusion_binary",
+                                  "summary_cut", "summary_no_fdr"])
+def test_corrupt_report_exits_one(tmp_path, capsys, kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    rep = tmp_path / "rep"
+    true = rng.integers(0, 3, size=40)
+    save_report(build_report(confusion(true, rng.permutation(true), 3)), rep)
+    name, part = kind.split("_", 1)
+    path = rep / f"{name}.{'txt' if name == 'confusion' else 'json'}"
+    if part == "token":
+        rows = [line.split() for line in path.read_text().splitlines()]
+        rows[int(rng.integers(3))][int(rng.integers(3))] = str(
+            rng.choice(["x", "1.5", "nan", "inf", "0x1"]))
+        path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    elif part == "binary":
+        path.write_bytes(_junk_bytes(rng))
+    elif part == "cut":
+        path.write_text(_cut_text(path.read_text(), rng))
+    else:
+        summary = json.loads(path.read_text())
+        del summary["fdr_by_class"]
+        path.write_text(json.dumps(summary))
+    cfg = write_config(tmp_path / "r.json", {"seed": 0, "report": str(rep)})
+    assert path.name in _assert_one_line_exit_one(
+        ["report", "--config", cfg], capsys)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["junk", "truncated", "object"])
+def test_corrupt_archive_exits_one(tmp_path, capsys, kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    arc = tmp_path / "arc"
+    arc.mkdir()
+    np.save(arc / "train_windows.npy", rng.normal(size=(8, 5, 3)))
+    np.save(arc / "train_labels.npy", np.arange(8) % 2)
+    # even seeds damage the windows, odd seeds the labels
+    path = arc / f"train_{('windows', 'labels')[seed % 2]}.npy"
+    blob = path.read_bytes()
+    if kind == "junk":
+        path.write_bytes(_junk_bytes(rng))
+    elif kind == "truncated":
+        path.write_bytes(blob[:int(rng.integers(len(blob)))])
+    else:
+        np.save(path, np.array([{"w": 1}] * 8, dtype=object),
+                allow_pickle=True)
+    cfg = write_config(tmp_path / "train.json",
+                       {"seed": 1, "archive": str(arc), "n_classes": 2})
+    assert path.name in _assert_one_line_exit_one(
+        ["train", "--config", cfg, "--out", str(tmp_path / "m"),
+         "--mode", "flat"], capsys)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("damaged", ["records.txt", "labels.txt"])
+def test_text_that_is_not_utf8_exits_one(tmp_path, capsys, damaged, seed):
+    rng = np.random.default_rng([seed, len(damaged)])
+    save_matrix(tmp_path / "records.txt", rng.normal(size=(40, 3)))
+    save_labels(tmp_path / "labels.txt", np.zeros(40, dtype=int))
+    path = tmp_path / damaged
+    blob = path.read_bytes()
+    at = int(rng.integers(len(blob)))
+    path.write_bytes(blob[:at] + _junk_bytes(rng) + blob[at:])
+    cfg = write_config(tmp_path / "ingest.json", {
+        "seed": 1, "data": str(tmp_path / "records.txt"),
+        "labels": str(tmp_path / "labels.txt"), "window": 5})
+    assert damaged in _assert_one_line_exit_one(
+        ["ingest", "--config", cfg, "--out", str(tmp_path / "arc")], capsys)
+
+
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_bytes(b'{"seed": 1, "horizon": 60, "note": "\xff"}\n')
+    assert "sim.json" in _assert_one_line_exit_one(
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        capsys)
+
+
+def _ingest_config(tmp_path, **extra):
+    save_matrix(tmp_path / "records.txt", np.zeros((40, 3)))
+    save_labels(tmp_path / "labels.txt", np.zeros(40, dtype=int))
+    return {"seed": 1, "data": str(tmp_path / "records.txt"),
+            "labels": str(tmp_path / "labels.txt"), "window": 5, **extra}
+
+
+@pytest.mark.parametrize("value", [[1], 7, True])
+@pytest.mark.parametrize("key", ["plant", "fault", "prbs", "surrogate",
+                                 "model", "split", "search_space"])
+def test_config_node_that_is_not_an_object_exits_one(tmp_path, capsys, key,
+                                                     value):
+    if key in ("plant", "fault", "prbs"):
+        argv = ["simulate", "--out", str(tmp_path / "run")]
+        cfg = {"seed": 1, "horizon": 60, key: value}
+    elif key == "split":
+        argv = ["ingest", "--out", str(tmp_path / "arc")]
+        cfg = _ingest_config(tmp_path, split=value)
+    elif key == "search_space":
+        argv = ["tune", "--out", str(tmp_path / "m")]
+        cfg = {"seed": 1, "surrogate": TINY_SURROGATE, key: value}
+    else:
+        argv = ["train", "--out", str(tmp_path / "m"), "--mode", "flat"]
+        cfg = {"seed": 1, "surrogate": TINY_SURROGATE, key: value}
+    err = _assert_one_line_exit_one(
+        argv + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
+    assert repr(key) in err and "JSON object" in err
+
+
+def test_split_node_rejects_unknown_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path / "ingest.json", _ingest_config(
+        tmp_path, split={"train": 0.6, "val": 0.2, "tset": 0.2}))
+    assert "unknown split keys: ['tset']" in _assert_one_line_exit_one(
+        ["ingest", "--config", cfg, "--out", str(tmp_path / "arc")], capsys)
+
+
+def test_search_space_rejects_unknown_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path / "tune.json",
+                       {"seed": 1, "surrogate": TINY_SURROGATE,
+                        "search_space": {"lr": [0.1], "seed": [1, 2]}})
+    err = _assert_one_line_exit_one(
+        ["tune", "--config", cfg, "--out", str(tmp_path / "m")], capsys)
+    assert "unknown search_space keys: ['lr', 'seed']" in err

@@ -3,7 +3,7 @@ import pytest
 
 from fddkit.dataio import (Scaler, SplitSpec, WindowBatch, concat_batches,
                            load_labels, load_matrix, make_windows, save_labels,
-                           save_matrix, split, standardize)
+                           save_matrix, split)
 from fddkit.errors import (ConfigError, DimensionError, FormatError,
                            SplitError)
 
@@ -67,32 +67,34 @@ def test_labels_round_trip(tmp_path):
 def test_standardize_fit_and_apply():
     rng = np.random.default_rng(1)
     data = rng.normal(loc=5.0, scale=3.0, size=(200, 6))
-    out, scaler = standardize(data)
+    scaler = Scaler.fit(data)
+    out = scaler.apply(data)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
 
     fresh = rng.normal(size=(50, 6))
-    applied, same = standardize(fresh, scaler)
-    assert same is scaler
+    applied = scaler.apply(fresh)
     # Elementwise oracle.
     for i in range(50):
         for j in range(6):
             expect = (fresh[i, j] - scaler.mean[j]) / scaler.std[j]
             assert applied[i, j] == expect
     # Exact inverse.
-    np.testing.assert_allclose(scaler.inverse(applied), fresh, atol=1e-12)
+    np.testing.assert_allclose(applied * scaler.std + scaler.mean, fresh,
+                               atol=1e-12)
 
 
 def test_standardize_constant_column_clamped():
     data = np.ones((30, 2))
     data[:, 1] = np.arange(30.0)
-    out, scaler = standardize(data)
+    scaler = Scaler.fit(data)
+    out = scaler.apply(data)
     assert scaler.std[0] == 1.0
     np.testing.assert_array_equal(out[:, 0], 0.0)
 
 
 def test_standardize_column_mismatch():
-    _, scaler = standardize(np.zeros((5, 3)))
+    scaler = Scaler.fit(np.zeros((5, 3)))
     with pytest.raises(DimensionError):
         scaler.apply(np.zeros((5, 4)))
 
@@ -125,7 +127,7 @@ def test_scaler_save_load_round_trip(tmp_path):
     assert back.mean.tobytes() == scaler.mean.tobytes()
     assert back.std.tobytes() == scaler.std.tobytes()
     rng = np.random.default_rng(7)
-    _, fitted = standardize(rng.normal(3.0, 2.0, size=(40, 5)))
+    fitted = Scaler.fit(rng.normal(3.0, 2.0, size=(40, 5)))
     fitted.save(tmp_path / "fitted.json")
     again = Scaler.load(tmp_path / "fitted.json")
     assert again.mean.tobytes() == fitted.mean.tobytes()
@@ -144,7 +146,7 @@ def test_scaler_load_rejects_malformed_files(tmp_path, text):
 
 def test_relabel_keeps_windows_and_provenance():
     batch = make_windows(np.arange(24.0).reshape(12, 2),
-                         np.zeros(12, dtype=int), 4, series_id=3)
+                         np.zeros(12, dtype=int), 4)
     out = batch.relabel(np.arange(len(batch)))
     assert out.windows is batch.windows
     assert out.starts is batch.starts and out.series is batch.series
@@ -234,8 +236,8 @@ def test_split_spec_validation():
 
 
 def test_concat_batches_keeps_sources_distinct():
-    a = make_windows(np.zeros((20, 2)), np.zeros(20, dtype=int), 5, series_id=0)
-    b = make_windows(np.ones((25, 2)), np.ones(25, dtype=int), 5, series_id=0)
+    a = make_windows(np.zeros((20, 2)), np.zeros(20, dtype=int), 5)
+    b = make_windows(np.ones((25, 2)), np.ones(25, dtype=int), 5)
     merged = concat_batches([a, b])
     assert len(merged) == len(a) + len(b)
     assert len(np.unique(merged.series)) == 2

@@ -82,7 +82,7 @@ def test_routing_reaches_level2():
     # level 1 always says "merged", level 2 always says its class 2,
     # which is original class 9
     assert preds.tolist() == [9, 9, 9, 9, 9]
-    assert model.infer(batch.windows[0]) == 9
+    assert model.infer_batch(batch.windows[:1]).tolist() == [9]
 
 
 def test_routing_skips_level2_for_plain_faults():

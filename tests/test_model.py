@@ -239,7 +239,7 @@ def test_train_raises_on_divergence():
 
 def test_tune_budget_one_returns_sampled_config():
     batch = toy_batch()
-    cfg = tune(batch, batch, {"learning_rate": [0.25]}, budget=1, seed=0,
+    cfg = tune(batch, batch, {"learning_rate": [0.25]}, budget=1,
                base=tiny_config(epochs=7))
     assert cfg.learning_rate == 0.25
     assert cfg.epochs == 7
@@ -249,9 +249,8 @@ def test_tune_winner_has_best_final_stage_accuracy():
     train_b = toy_batch(n_per_class=6, seed=3)
     val_b = toy_batch(n_per_class=3, seed=4)
     space = {"learning_rate": [0.2, 0.05, 1e-5]}
-    best, log = tune(train_b, val_b, space, budget=4, seed=1,
-                     base=tiny_config(epochs=9), stage_epochs=2,
-                     return_trials=True)
+    best, log = tune(train_b, val_b, space, budget=4,
+                     base=tiny_config(epochs=9), return_trials=True)
     last_stage = max(rec["stage_epochs"] for rec in log)
     finals = [rec for rec in log if rec["stage_epochs"] == last_stage]
     winner = [rec for rec in finals
@@ -261,7 +260,7 @@ def test_tune_winner_has_best_final_stage_accuracy():
     assert any(w["val_accuracy"] >= r["val_accuracy"]
                for w in winner for r in finals)
     with pytest.raises(ConfigError):
-        tune(train_b, val_b, {}, budget=2, seed=0)
+        tune(train_b, val_b, {}, budget=2, base=tiny_config())
 
 
 def test_default_search_space_learning_rates():

@@ -1,9 +1,12 @@
 """Scenario batches, experiment glue, twin-batch evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fddkit.errors import ConfigError
+from fddkit.plant import default_plant
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
                              evaluate_classifier, evaluate_hierarchical,
                              excitation_gain, fit_classifier, fit_flat,
@@ -21,14 +24,27 @@ SMALL_HIER = ExperimentSpec(classes=(0, 1, 3, 11), incipient=(3, 11),
                             n_series=1, n_series_level2=1, horizon=120,
                             window=10, onset=40, epochs=2, encoder=(5,))
 
+PLAN = default_excitation(default_plant())
+
 
 def test_default_excitation_plan():
-    plan = default_excitation()
+    plan = default_excitation(default_plant())
     assert plan.t_clock == 360.0
     assert plan.n_register == 6
     assert plan.period == 63
     assert plan.amplitude == pytest.approx(0.4)
     assert plan.target == "loop1"
+
+
+def test_default_excitation_needs_the_target_loop():
+    plant = default_plant()
+    one_loop = dataclasses.replace(
+        plant, b=plant.b[:, :1], controlled=plant.controlled[:1],
+        setpoints=plant.setpoints[:1],
+        setpoint_ranges=plant.setpoint_ranges[:1], kp=plant.kp[:1],
+        ki=plant.ki[:1])
+    with pytest.raises(ConfigError, match="loop 1"):
+        default_excitation(one_loop)
 
 
 def test_scenario_batch_shapes_and_labels():
@@ -56,9 +72,8 @@ def test_scenario_batch_is_deterministic_and_split_disjoint():
 
 
 def test_twin_batches_align():
-    plan = default_excitation()
     quiet = scenario_batch(2, "test", TINY)
-    excited = scenario_batch(2, "test", TINY, prbs=plan)
+    excited = scenario_batch(2, "test", TINY, prbs=PLAN)
     np.testing.assert_array_equal(quiet.labels, excited.labels)
     np.testing.assert_array_equal(quiet.starts, excited.starts)
     np.testing.assert_array_equal(quiet.series, excited.series)
@@ -91,8 +106,7 @@ def test_hierarchical_fit_and_reports():
     assert hmodel.level2.config.n_classes == 3   # normal, 3, 11
     report = evaluate_hierarchical(hmodel, 1, SMALL_HIER)
     assert report.cm.counts.shape == (12, 12)
-    excited = evaluate_hierarchical(hmodel, 1, SMALL_HIER,
-                                    prbs=default_excitation())
+    excited = evaluate_hierarchical(hmodel, 1, SMALL_HIER, prbs=PLAN)
     assert excited.cm.total == report.cm.total
 
 
@@ -110,9 +124,9 @@ def test_infer_with_twins_rejects_misalignment():
 
 
 def test_infer_with_twins_matches_hand_composed_reference():
-    hmodel = fit_hierarchical(1, SMALL_HIER, prbs=default_excitation())
+    hmodel = fit_hierarchical(1, SMALL_HIER, prbs=PLAN)
     quiet = scenario_batch(1, "test", SMALL_HIER)
-    probed = scenario_batch(1, "test", SMALL_HIER, prbs=default_excitation())
+    probed = scenario_batch(1, "test", SMALL_HIER, prbs=PLAN)
     assert quiet.windows.tobytes() != probed.windows.tobytes()
     l1, l2, lmap = hmodel.level1, hmodel.level2, hmodel.label_map
     pred1 = l1.predict(l1.scaler.apply(quiet.windows))
@@ -146,8 +160,8 @@ def test_benchmark_scores_the_hierarchical_level2_as_standalone():
     # place of training a standalone one; the scores must not move.
     row = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER)["per_seed"][0]
     assert row["level2_quiet"] == level2_accuracies(1, SMALL_HIER)
-    assert row["level2_excited"] == level2_accuracies(
-        1, SMALL_HIER, prbs=default_excitation())
+    assert row["level2_excited"] == level2_accuracies(1, SMALL_HIER,
+                                                      prbs=PLAN)
 
 
 def test_tune_classifier_smoke():

@@ -25,7 +25,7 @@ def lfsr_oracle(n, taps, init_bits):
 
 
 def test_mls_matches_bitwise_oracle_n4():
-    seq = generate_mls(4, cycles=1, seed_state=0b0001)
+    seq = generate_mls(4)
     oracle = lfsr_oracle(4, TAPS[4], [1, 0, 0, 0])
     np.testing.assert_array_equal(seq, 2.0 * np.array(oracle) - 1.0)
 
@@ -59,15 +59,18 @@ def test_mls_exact_period_small_n():
 
 
 def test_mls_amplitude_and_cycles():
-    seq = generate_mls(3, cycles=3, amplitude=0.5)
+    # a waveform clocked at the sample time plays the sequence cycle
+    # after cycle
+    plan = PrbsPlan(0.5, 1.0, 3, 7, TAPS[3])
+    seq = prbs_waveform(plan, n_samples=21, t_s=1.0)
     assert seq.size == 21
     assert set(np.unique(seq)) == {-0.5, 0.5}
+    np.testing.assert_array_equal(seq[:7], generate_mls(3, amplitude=0.5))
     np.testing.assert_array_equal(seq[:7], seq[7:14])
+    np.testing.assert_array_equal(seq[:7], seq[14:])
 
 
-def test_mls_rejects_bad_state_and_register():
-    with pytest.raises(DesignError):
-        generate_mls(5, seed_state=0)
+def test_mls_rejects_bad_register_and_taps():
     with pytest.raises(DesignError):
         generate_mls(1)
     with pytest.raises(DesignError):
@@ -156,13 +159,6 @@ def test_spectrum_limit_zeros_nonnegative():
     omega = np.random.default_rng(0).uniform(0, 10, size=500)
     s = prbs_spectrum(a, n_len, t_c, omega)
     assert np.all(s >= 0)
-
-
-def test_spectrum_normalized_variant_is_4x():
-    omega = np.linspace(0.0, 5.0, 200)
-    base = prbs_spectrum(2.0, 63, 1.7, omega)
-    norm = prbs_spectrum(2.0, 63, 1.7, omega, normalized_sinc=True)
-    np.testing.assert_allclose(norm, 4.0 * base, rtol=1e-13)
 
 
 def test_spectrum_tracks_periodogram_of_generated_sequence():

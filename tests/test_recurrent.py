@@ -52,14 +52,17 @@ def test_scalar_lstm_two_steps_match_hand_trace():
 
 
 def test_forget_gate_carries_cell_state():
-    # With a saturated forget gate and a dead input gate the cell state
-    # must pass through unchanged.
-    W = np.zeros((4, 1))
+    # A unit input at t = 0 opens the input gate and writes a candidate of
+    # 0.75 into the cell; afterwards the input is zero, so with a saturated
+    # forget gate and a dead input gate the cell state must pass through
+    # unchanged.
+    W = np.array([[0.0], [1000.0], [np.arctanh(0.75)], [0.0]])
     R = np.zeros((4, 1))
     b = np.array([500.0, -500.0, 0.0, 0.0])
     p = LstmParams(W, R, b)
-    h, c, _ = lstm_forward_batch(np.zeros((1, 5, 1)), p, h0=np.zeros((1, 1)),
-                                 c0=np.array([[0.75]]))
+    x = np.zeros((1, 5, 1))
+    x[0, 0, 0] = 1.0
+    h, c, _ = lstm_forward_batch(x, p)
     np.testing.assert_allclose(c[0, :, 0], 0.75, rtol=0, atol=1e-12)
 
 
@@ -273,14 +276,13 @@ def test_lstm_backward_matches_finite_differences():
         base = init_params([(d_x, d_h)], n_classes=2, seed=100 + trial)
         x = rng.normal(size=(n, t_len, d_x))
         gh = rng.normal(size=(n, t_len, d_h))
-        gc = rng.normal(size=(n, d_h))
 
         def loss(ps):
-            h, c, _ = lstm_forward_batch(x, ps.layers[0])
-            return float(np.sum(h * gh) + np.sum(c[:, -1] * gc))
+            h, _, _ = lstm_forward_batch(x, ps.layers[0])
+            return float(np.sum(h * gh))
 
         _, _, cache = lstm_forward_batch(x, base.layers[0])
-        grads, _ = lstm_backward(cache, gh, grad_c_last=gc)
+        grads, _ = lstm_backward(cache, gh)
         analytic = base.zeros_like()
         analytic.layers[0] = grads
 
