@@ -53,6 +53,16 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _path(node, key):
+    """The path a required key names. It must be a string: open() would
+    take an integer as a file descriptor, and stdin is descriptor 0."""
+    value = _require(node, key)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a path string, "
+                          f"not {value!r}")
+    return value
+
+
 def _check_keys(node, allowed, what):
     """Reject a node that is not a JSON object or has keys outside allowed."""
     if not isinstance(node, dict):
@@ -109,7 +119,7 @@ def _plan_from(cfg, plant):
     if isinstance(node, str):
         return load_plan(node)
     if isinstance(node, dict) and "plan" in node:
-        return load_plan(node["plan"])
+        return load_plan(_path(node, "plan"))
     _check_keys(node, ("tau_ol", "tau_cl", "s_f", "omega_low", "omega_high",
                        "omega_nyquist", "t_s", "amplitude", "burst_len",
                        "burst_interval", "target"), "prbs")
@@ -189,9 +199,9 @@ def cmd_simulate(args):
 
 def cmd_ingest(args):
     cfg = _load_config(args.config)
-    data = load_matrix(_require(cfg, "data"),
+    data = load_matrix(_path(cfg, "data"),
                        expected_cols=cfg.get("expected_cols"))
-    labels = load_labels(_require(cfg, "labels"))
+    labels = load_labels(_path(cfg, "labels"))
     window = int(_require(cfg, "window"))
     batch = make_windows(data, labels, window)
     node = cfg.get("split", {"train": 0.6, "val": 0.2, "test": 0.2})
@@ -205,7 +215,7 @@ def cmd_ingest(args):
     if "scaler" in cfg:
         # Pre-split archives keep training and held-out recordings in
         # separate files; the held-out ingest reuses the saved scaler.
-        scaler = Scaler.load(cfg["scaler"])
+        scaler = Scaler.load(_path(cfg, "scaler"))
     elif len(parts["train"]) == 0:
         raise ConfigError(
             "no train windows to fit a scaler on; use a nonzero train "
@@ -263,10 +273,11 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     spec = _spec_from(cfg)
     incipient = tuple(cfg.get("incipient", spec.incipient))
     if "archive" in cfg:
-        train_b = _archive_batch(cfg["archive"], "train")
+        archive = _path(cfg, "archive")
+        train_b = _archive_batch(archive, "train")
         if train_b is None:
-            raise ConfigError(f"no train split under {cfg['archive']}")
-        val_b = _archive_batch(cfg["archive"], "val")
+            raise ConfigError(f"no train split under {archive}")
+        val_b = _archive_batch(archive, "val")
         n_classes = int(cfg.get("n_classes",
                                 int(train_b.labels.max()) + 1))
     else:
@@ -360,7 +371,7 @@ def _test_data(cfg, seed, spec, probed=False):
         if probed:
             raise ConfigError("probed evaluation needs surrogate data, "
                               "not an archive")
-        batch = _archive_batch(cfg["archive"], "test")
+        batch = _archive_batch(_path(cfg, "archive"), "test")
         if batch is None:
             raise ConfigError(f"no test split under {cfg['archive']}")
         return batch
@@ -382,8 +393,8 @@ def cmd_evaluate(args):
                 "dataset": cfg.get("archive", "surrogate"),
                 "prbs": args.prbs}
     if args.hierarchical:
-        level1 = load_model(Path(_require(cfg, "level1")))
-        level2 = load_model(Path(_require(cfg, "level2")))
+        level1 = load_model(Path(_path(cfg, "level1")))
+        level2 = load_model(Path(_path(cfg, "level2")))
         incipient = tuple(cfg.get("incipient", spec.incipient))
         n_classes = int(cfg.get("n_classes", max(spec.classes) + 1))
         _, lmap = regroup_labels(np.zeros(1, dtype=np.int64), incipient,
@@ -394,7 +405,7 @@ def cmd_evaluate(args):
         cm = confusion(quiet.labels, preds, lmap.n_original)
         report = build_report(cm, normal=0, metadata=metadata)
     else:
-        model = load_model(Path(_require(cfg, "model")))
+        model = load_model(Path(_path(cfg, "model")))
         metadata["model"] = str(cfg["model"])
         report = evaluate_classifier(model, probed, metadata=metadata)
     out = _out_dir(args)
@@ -417,7 +428,7 @@ def cmd_prbs_design(args):
 
 def cmd_report(args):
     cfg = _load_config(args.config)
-    report = load_report(_require(cfg, "report"))
+    report = load_report(_path(cfg, "report"))
     print(format_report(report), end="")
     return 0
 

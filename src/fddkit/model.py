@@ -301,7 +301,9 @@ def tune(train_batch, val_batch, search_space, budget, base, scaler=None,
         for j in alive:
             cfg = replace(trials[j], epochs=stage)
             model = train(train_batch, val_batch, cfg, scaler=scaler)
-            acc = model.accuracy(val_batch)
+            # train returns its best validation epoch's snapshot, so that
+            # epoch's recorded accuracy is the model's: no second pass
+            acc = max(row["val_accuracy"] for row in model.history)
             scored.append((j, acc))
             log.append({"trial": j, "stage_epochs": stage, "val_accuracy": acc})
         scored.sort(key=lambda item: (-item[1], item[0]))

@@ -4,17 +4,33 @@ All math is dense float64 numpy. Gate blocks are packed row-wise in the
 order forget, input, candidate, output, so W has shape (4*d_h, d_x),
 R has shape (4*d_h, d_h) and b has shape (4*d_h,).
 
+Time steps are a Python loop, so the cost of a pass is the cost of its
+per-step numpy calls, and those run fastest on contiguous operands. So
+every array the loop reads or writes per step is laid out time-major:
+
+- sequences (the input, ``h``, ``c``, ``tanh_c``, the hidden-state
+  gradient and the input gradient) keep their (N, T, d) shape but are
+  views of (T, N, d) memory, so ``[:, t]`` is one contiguous block; an
+  input that already is such a view (the previous layer's ``h``, the next
+  layer's input gradient) is used without a copy;
+- the gate activations are gate-major, (T, 4, N, d_h), so forget, input,
+  candidate and output at step t are four contiguous (N, d_h) blocks.
+
+The products keep their batch-major operands, so they round as a plain
+(N, T, d) layout would: the input projection ``x @ W.T + b`` is taken
+over (N, T, d_x) and copied once into gate-major order, the recurrent
+term ``h @ R.T`` is added through a (4, N, d_h) view of its rows, and
+the backward pass writes the gate gradients into the (N, 4*d_h) array
+that its products read.
+
 There are two forward passes over the same step arithmetic.
-``lstm_forward_batch`` is the training pass: it keeps the gate
-activations packed the same way, one ``gates`` array of shape
-(N, T, 4*d_h) in the cache, filled per step by a single ``sigmoid`` call
-over the whole preactivation, with the candidate block then overwritten
-by ``tanh``, plus the cell states that ``lstm_backward`` reads back.
-``lstm_hidden_batch`` is the inference pass: it returns only the hidden
-sequence and keeps no cache, so it allocates no (N, T, ...) gate or
-cell arrays. Both give the same hidden states bit for bit. Time steps are a
-Python loop, so one gate pass per step rather than one per gate is what
-keeps training cheap at small hidden sizes.
+``lstm_forward_batch`` is the training pass: it fills the gate array per
+step by a single ``sigmoid`` call over all four blocks, with the
+candidate block then overwritten by ``tanh``, and keeps it with the cell
+states that ``lstm_backward`` reads back. ``lstm_hidden_batch`` is the
+inference pass: it returns only the hidden sequence and keeps no cache,
+so it allocates no full-length gate or cell arrays. Both give the same
+hidden states bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -200,12 +216,16 @@ def init_params(layer_dims, n_classes, seed, n_encoder=None):
 
 @dataclass
 class LstmCache:
-    """Everything the backward pass needs from one layer's forward pass."""
+    """Everything the backward pass needs from one layer's forward pass.
+
+    The sequences are (N, T, d) views of time-major (T, N, d) memory, so
+    the per-step slice ``[:, t]`` is contiguous.
+    """
 
     x: np.ndarray        # (N, T, d_x)
     h: np.ndarray        # (N, T, d_h)
     c: np.ndarray        # (N, T, d_h)
-    gates: np.ndarray    # (N, T, 4*d_h): forget, input, candidate, output
+    gates: np.ndarray    # (T, 4, N, d_h): forget, input, candidate, output
     tanh_c: np.ndarray   # (N, T, d_h)
     params: LstmParams
 
@@ -225,15 +245,26 @@ def _checked_input(x, params):
     return x
 
 
-def _gate_step(a, c_prev, d_h):
-    """One time step from the packed preactivation a (N, 4*d_h).
+def _time_major(a):
+    """The (T, N, d) time-major memory of an (N, T, d) array: a view when
+    a already is one of such memory (a layer's h or dx), else a copy."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
 
-    Returns the packed gate activations, the cell state, tanh of the
+
+def _gate_rows(a):
+    """(N, 4*d_h) packed gates as a (4, N, d_h) view, one block per gate."""
+    return a.reshape(a.shape[0], 4, -1).transpose(1, 0, 2)
+
+
+def _gate_step(a, c_prev):
+    """One time step from the gate-major preactivation a (4, N, d_h).
+
+    Returns the gate activations (4, N, d_h), the cell state, tanh of the
     cell state and the hidden state.
     """
     gt = sigmoid(a)
-    gt[:, 2 * d_h:3 * d_h] = np.tanh(a[:, 2 * d_h:3 * d_h])
-    f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
+    np.tanh(a[2], out=gt[2])
+    f, i, g, o = gt
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     return gt, c, tanh_c, o * tanh_c
@@ -258,21 +289,25 @@ def lstm_forward_batch(x, params):
     n, t_len, _ = x.shape
     d_h = params.d_h
 
-    h = np.empty((n, t_len, d_h))
-    c = np.empty((n, t_len, d_h))
-    gates = np.empty((n, t_len, 4 * d_h))
-    tanh_c = np.empty((n, t_len, d_h))
+    h = np.empty((t_len, n, d_h))
+    c = np.empty((t_len, n, d_h))
+    tanh_c = np.empty((t_len, n, d_h))
 
     # Hoist the input projection out of the time loop; only the recurrent
-    # term depends on the previous step.
-    xw = x @ params.W.T + params.b
+    # term depends on the previous step. The product stays batch-major (a
+    # time-major one can take another BLAS path and round differently);
+    # the gate array holds its copy and each step overwrites its slice.
+    gates = np.ascontiguousarray((x @ params.W.T + params.b).reshape(
+        n, t_len, 4, d_h).transpose(1, 2, 0, 3))
     h_prev = c_prev = np.zeros((n, d_h))
     for t in range(t_len):
-        a = xw[:, t] + h_prev @ params.R.T
-        gates[:, t], c[:, t], tanh_c[:, t], h[:, t] = _gate_step(
-            a, c_prev, d_h)
-        h_prev, c_prev = h[:, t], c[:, t]
+        a = gates[t]
+        a += _gate_rows(h_prev @ params.R.T)
+        gates[t], c[t], tanh_c[t], h[t] = _gate_step(a, c_prev)
+        h_prev, c_prev = h[t], c[t]
 
+    h, c, tanh_c = (s.transpose(1, 0, 2) for s in (h, c, tanh_c))
+    x = _time_major(x).transpose(1, 0, 2)
     cache = LstmCache(x, h, c, gates, tanh_c, params)
     return h, c, cache
 
@@ -282,22 +317,23 @@ def lstm_hidden_batch(x, params):
 
     Same arguments, checks and arithmetic as lstm_forward_batch, so the
     result equals its ``h`` bit for bit, but nothing is kept for a
-    backward pass: the only full-length array it allocates is the
-    (N, T, d_h) hidden sequence.
+    backward pass: besides the input projection, the only full-length
+    array it allocates is the hidden sequence, (N, T, d_h) over
+    time-major memory.
     """
     x = _checked_input(x, params)
     n, t_len, _ = x.shape
     d_h = params.d_h
-    h = np.empty((n, t_len, d_h))
+    h = np.empty((t_len, n, d_h))
     h_prev = c_prev = np.zeros((n, d_h))
-    # batch-major like lstm_forward_batch: a time-major product can take
-    # another BLAS path and round differently
+    # batch-major like lstm_forward_batch, and read per step in place
+    # rather than copied, so no second (N, T, 4*d_h) array is made
     xw = x @ params.W.T + params.b
     for t in range(t_len):
-        a = xw[:, t] + h_prev @ params.R.T
-        _, c_prev, _, h[:, t] = _gate_step(a, c_prev, d_h)
-        h_prev = h[:, t]
-    return h
+        a = _gate_rows(xw[:, t]) + _gate_rows(h_prev @ params.R.T)
+        _, c_prev, _, h[t] = _gate_step(a, c_prev)
+        h_prev = h[t]
+    return h.transpose(1, 0, 2)
 
 
 def lstm_backward(cache, grad_h):
@@ -315,7 +351,8 @@ def lstm_backward(cache, grad_h):
     grads : LstmParams
         Accumulated dW, dR, db.
     grad_x : ndarray
-        Gradient with respect to the layer input, same shape as x.
+        Gradient with respect to the layer input, same shape as x, over
+        time-major memory.
     """
     grad_h = np.asarray(grad_h, dtype=np.float64)
     if grad_h.shape != cache.h.shape:
@@ -323,24 +360,26 @@ def lstm_backward(cache, grad_h):
             f"grad_h shape {grad_h.shape} does not match h {cache.h.shape}")
     p = cache.params
     n, t_len, d_h = cache.h.shape
+    xs, hs, cs, tcs = (s.transpose(1, 0, 2) for s in
+                       (cache.x, cache.h, cache.c, cache.tanh_c))
+    grad_h = _time_major(grad_h)
 
     dW = np.zeros_like(p.W)
     dR = np.zeros_like(p.R)
     db = np.zeros_like(p.b)
-    dx = np.empty_like(cache.x)
+    dx = np.empty((t_len, n, p.d_x))
     dh_next = np.zeros((n, d_h))
     dc = np.zeros((n, d_h))
     zeros = np.zeros((n, d_h))   # the initial h and c
 
     da = np.empty((n, 4 * d_h))
     for t in range(t_len - 1, -1, -1):
-        gt = cache.gates[:, t]
-        f, i, g, o = (gt[:, k * d_h:(k + 1) * d_h] for k in range(4))
-        tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else zeros
-        h_prev = cache.h[:, t - 1] if t > 0 else zeros
+        f, i, g, o = cache.gates[t]
+        tc = tcs[t]
+        c_prev = cs[t - 1] if t > 0 else zeros
+        h_prev = hs[t - 1] if t > 0 else zeros
 
-        dh = grad_h[:, t] + dh_next
+        dh = grad_h[t] + dh_next
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
         df = dc * c_prev
@@ -352,14 +391,14 @@ def lstm_backward(cache, grad_h):
         da[:, 2 * d_h:3 * d_h] = dg * (1.0 - g * g)
         da[:, 3 * d_h:] = do * o * (1.0 - o)
 
-        dW += da.T @ cache.x[:, t]
+        dW += da.T @ xs[t]
         dR += da.T @ h_prev
         db += da.sum(axis=0)
-        dx[:, t] = da @ p.W
+        dx[t] = da @ p.W
         dh_next = da @ p.R
         dc = dc * f
 
-    return LstmParams(dW, dR, db), dx
+    return LstmParams(dW, dR, db), dx.transpose(1, 0, 2)
 
 
 @dataclass

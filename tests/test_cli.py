@@ -515,3 +515,36 @@ def test_search_space_rejects_unknown_keys(tmp_path, capsys):
     err = _assert_one_line_exit_one(
         ["tune", "--config", cfg, "--out", str(tmp_path / "m")], capsys)
     assert "unknown search_space keys: ['lr', 'seed']" in err
+
+
+@pytest.mark.parametrize("value", [0, 1.5, True, ["records.txt"]])
+@pytest.mark.parametrize("key", ["data", "labels", "scaler", "plan",
+                                 "archive", "model", "level1", "level2",
+                                 "report"])
+def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
+                                                    value):
+    # 0 is the point: open() takes an integer as a file descriptor, and
+    # descriptor 0 is stdin
+    model_dir = str(_saved_model(tmp_path / "model"))
+    if key in ("data", "labels", "scaler"):
+        argv = ["ingest", "--out", str(tmp_path / "arc")]
+        cfg = _ingest_config(tmp_path, scaler=str(tmp_path / "none.json"))
+    elif key == "plan":
+        argv = ["simulate", "--out", str(tmp_path / "run")]
+        cfg = {"seed": 1, "horizon": 60, "prbs": {}}
+    elif key == "archive":
+        argv = ["train", "--out", str(tmp_path / "m"), "--mode", "flat"]
+        cfg = {"seed": 1}
+    elif key == "report":
+        argv = ["report"]
+        cfg = {"seed": 0}
+    else:
+        argv = ["evaluate", "--out", str(tmp_path / "rep")]
+        cfg = {"seed": 2, "surrogate": TINY_SURROGATE, "model": model_dir,
+               "level1": model_dir, "level2": model_dir}
+        if key != "model":
+            argv.append("--hierarchical")
+    (cfg["prbs"] if key == "plan" else cfg)[key] = value
+    err = _assert_one_line_exit_one(
+        argv + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
+    assert f"config key {key!r} must be a path string" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,37 @@ def test_tune_winner_has_best_final_stage_accuracy():
                for w in winner for r in finals)
     with pytest.raises(ConfigError):
         tune(train_b, val_b, {}, budget=2, base=tiny_config())
+
+
+def test_tune_scores_trials_from_training_history(monkeypatch):
+    train_b = toy_batch(n_per_class=6, seed=3)
+    val_b = toy_batch(n_per_class=3, seed=4)
+    base = tiny_config(epochs=9)
+    calls = []
+    scored = fddkit.model.batch_accuracy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scored(*args, **kwargs)
+
+    monkeypatch.setattr(fddkit.model, "batch_accuracy", counted)
+    best, log = tune(train_b, val_b, {"learning_rate": [0.05]}, budget=4,
+                     base=base, return_trials=True)
+    # one validation pass per epoch trained, none after a trial
+    assert len(calls) == sum(rec["stage_epochs"] for rec in log)
+    monkeypatch.undo()
+
+    # each score is what the trained trial model scores on val_b
+    for rec in log:
+        cfg = replace(base, seed=base.seed + rec["trial"],
+                      learning_rate=0.05, epochs=rec["stage_epochs"])
+        model = train(train_b, val_b, cfg)
+        assert rec["val_accuracy"] == model.accuracy(val_b)
+    finals = [rec for rec in log
+              if rec["stage_epochs"] == log[-1]["stage_epochs"]]
+    winner = min(finals, key=lambda rec: (-rec["val_accuracy"], rec["trial"]))
+    assert best == replace(base, seed=base.seed + winner["trial"],
+                           learning_rate=0.05)
 
 
 def test_default_search_space_learning_rates():

@@ -222,7 +222,8 @@ def per_gate_backward(x, p, h, c, gates, tanh_c, grad_h):
 
 
 @pytest.mark.parametrize("n,t_len,d_x,d_h", [
-    (7, 6, 3, 4), (5, 1, 2, 3), (4, 5, 3, 1), (1, 1, 1, 1), (128, 20, 10, 12)])
+    (7, 6, 3, 4), (5, 1, 2, 3), (4, 5, 3, 1), (1, 1, 1, 1), (128, 20, 10, 12),
+    (9, 150, 52, 16)])
 def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     rng = np.random.default_rng(n * 1000 + t_len * 100 + d_h)
     p = init_params([(d_x, d_h)], n_classes=2, seed=d_h).layers[0]
@@ -235,10 +236,10 @@ def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     np.testing.assert_array_equal(lstm_hidden_batch(x, p), h)
     np.testing.assert_array_equal(c, ref_c)
     np.testing.assert_array_equal(cache.tanh_c, ref_tanh_c)
-    assert cache.gates.shape == (n, t_len, 4 * d_h)
+    assert cache.gates.shape == (t_len, 4, n, d_h)
     for k, ref in enumerate(ref_gates):
         np.testing.assert_array_equal(
-            cache.gates[:, :, k * d_h:(k + 1) * d_h], ref)
+            cache.gates[:, k].transpose(1, 0, 2), ref)
 
     grads, dx = lstm_backward(cache, grad_h)
     ref_dW, ref_dR, ref_db, ref_dx = per_gate_backward(
@@ -247,6 +248,35 @@ def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     np.testing.assert_array_equal(grads.R, ref_dR)
     np.testing.assert_array_equal(grads.b, ref_db)
     np.testing.assert_array_equal(dx, ref_dx)
+
+
+def test_lstm_step_operands_are_contiguous():
+    n, t_len, d_x, d_h = 6, 5, 3, 4
+    rng = np.random.default_rng(8)
+    p = init_params([(d_x, d_h)], n_classes=2, seed=4).layers[0]
+    x = rng.normal(size=(n, t_len, d_x))
+    h, c, cache = lstm_forward_batch(x, p)
+    for t in range(t_len):
+        for seq in (cache.x, h, c, cache.tanh_c, lstm_hidden_batch(x, p)):
+            assert seq[:, t].flags.c_contiguous
+        for k in range(4):
+            assert cache.gates[t, k].flags.c_contiguous
+
+    # a time-major gradient (what the next layer's backward returns) is
+    # read in place and gives the same bits as a batch-major one
+    grad_h = rng.normal(size=(n, t_len, d_h))
+    time_major = np.ascontiguousarray(grad_h.transpose(1, 0, 2))
+    grads, dx = lstm_backward(cache, grad_h)
+    grads_tm, dx_tm = lstm_backward(cache, time_major.transpose(1, 0, 2))
+    for a, b in zip((grads.W, grads.R, grads.b, dx),
+                    (grads_tm.W, grads_tm.R, grads_tm.b, dx_tm)):
+        np.testing.assert_array_equal(a, b)
+    assert all(dx[:, t].flags.c_contiguous for t in range(t_len))
+
+    # the next layer takes h as its input without a copy
+    _, _, cache2 = lstm_forward_batch(h, init_params(
+        [(d_h, 2)], n_classes=2, seed=5).layers[0])
+    assert np.shares_memory(cache2.x, h)
 
 
 def tiny_paramset():
