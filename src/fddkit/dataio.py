@@ -7,6 +7,7 @@ with an optional sidecar label file holding one integer per line.
 from dataclasses import dataclass
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -60,14 +61,19 @@ class Scaler:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by save; FormatError if it is not one."""
+        """Read a file written by save; FormatError if it is not one.
+
+        json reads NaN and Infinity, so finiteness is checked here: an
+        infinite std would silently zero its column.
+        """
         rec = read_json(path)
         if not (isinstance(rec, dict) and all(
                 isinstance(rec.get(key), list)
-                and all(type(v) in (int, float) for v in rec[key])
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in rec[key])
                 for key in ("mean", "std"))):
             raise FormatError(f"{path}: a scaler needs 'mean' and 'std' "
-                              "lists of numbers")
+                              "lists of finite numbers")
         return cls(rec["mean"], rec["std"])
 
 

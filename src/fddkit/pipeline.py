@@ -116,20 +116,24 @@ def classifier_config(n_classes, seed, spec=ExperimentSpec(),
     )
 
 
+def _standardized(batch):
+    """The batch standardized on its own statistics, and that scaler."""
+    scaler = Scaler.fit(batch.windows)
+    return batch.scaled(scaler), scaler
+
+
 def fit_classifier(train_batch, config, val_batch=None):
     """Standardize on the training split, then train."""
-    scaler = Scaler.fit(train_batch.windows)
+    scaled_train, scaler = _standardized(train_batch)
     scaled_val = val_batch.scaled(scaler) if val_batch is not None else None
-    return train(train_batch.scaled(scaler), scaled_val, config,
-                 scaler=scaler)
+    return train(scaled_train, scaled_val, config, scaler=scaler)
 
 
 def tune_classifier(train_batch, val_batch, config, search_space=None,
                     budget=4):
     """Successive-halving search, then a full fit at the winning config."""
-    scaler = Scaler.fit(train_batch.windows)
+    scaled_train, scaler = _standardized(train_batch)
     space = DEFAULT_SEARCH_SPACE if search_space is None else search_space
-    scaled_train = train_batch.scaled(scaler)
     scaled_val = val_batch.scaled(scaler)
     best = tune(scaled_train, scaled_val, space, budget, config,
                 scaler=scaler)
@@ -144,23 +148,34 @@ def evaluate_classifier(model, batch, metadata=None):
 
 
 def fit_flat(seed, spec=ExperimentSpec()):
-    train_b = scenario_batch(seed, "train", spec)
+    return _fit_flat(seed, spec,
+                     *_standardized(scenario_batch(seed, "train", spec)))
+
+
+def _fit_flat(seed, spec, scaled_train, scaler):
+    """The flat classifier on the standardized quiet training split."""
     cfg = classifier_config(max(spec.classes) + 1, seed, spec,
-                            n_features=train_b.n_features)
-    return fit_classifier(train_b, cfg)
+                            n_features=scaled_train.n_features)
+    return train(scaled_train, None, cfg, scaler=scaler)
 
 
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     """Level-1 router on quiet data; level-2 specialist on the merged
     group, excited when a plan is given."""
-    train_b = scenario_batch(seed, "train", spec)
-    merged, lmap = regroup_labels(train_b.labels, spec.incipient,
+    level1, lmap = _fit_level1(
+        seed, spec, *_standardized(scenario_batch(seed, "train", spec)))
+    return HierarchicalModel(level1, _fit_level2(seed, spec, prbs), lmap)
+
+
+def _fit_level1(seed, spec, scaled_train, scaler):
+    """The level-1 router on the standardized quiet training split, and
+    the label map of its merged group."""
+    merged, lmap = regroup_labels(scaled_train.labels, spec.incipient,
                                   n_classes=max(spec.classes) + 1)
     cfg1 = classifier_config(lmap.n_level1, seed, spec,
-                             n_features=train_b.n_features)
-    level1 = fit_classifier(train_b.relabel(merged), cfg1)
-    level2 = _fit_level2(seed, spec, prbs)
-    return HierarchicalModel(level1, level2, lmap)
+                             n_features=scaled_train.n_features)
+    level1 = train(scaled_train.relabel(merged), None, cfg1, scaler=scaler)
+    return level1, lmap
 
 
 def _level2_map(spec):
@@ -200,8 +215,14 @@ def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,
     quiet = scenario_batch(seed, "test", spec)
     probed = (quiet if prbs is None
               else scenario_batch(seed, "test", spec, prbs=prbs))
-    preds = infer_with_twins(hmodel, quiet, probed)
-    cm = confusion(quiet.labels, preds, hmodel.label_map.n_original)
+    return _hierarchical_report(hmodel, quiet, probed, metadata)
+
+
+def _hierarchical_report(hmodel, quiet_batch, excited_batch, metadata=None):
+    """Combined original-alphabet report of infer_with_twins on built
+    twin batches."""
+    preds = infer_with_twins(hmodel, quiet_batch, excited_batch)
+    cm = confusion(quiet_batch.labels, preds, hmodel.label_map.n_original)
     return build_report(cm, normal=0, metadata=metadata)
 
 
@@ -224,16 +245,13 @@ def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
     return level2_scores(model, seed, spec, prbs)
 
 
-def excitation_gain(seed, spec=ExperimentSpec(), plan=None, level2=None):
+def excitation_gain(seed, spec, plan, level2):
     """Incipient-class accuracy change from exciting the level-2 data.
 
     level2 is the quiet specialist to score, such as the one inside
-    ``fit_hierarchical(seed, spec)``; it is trained here when omitted.
+    ``fit_hierarchical(seed, spec)``; the excited one is trained here
+    with the plan.
     """
-    if plan is None:
-        plan = default_excitation(spec.plant_factory(seed=0))
-    if level2 is None:
-        level2 = _fit_level2(seed, spec, None)
     quiet = level2_scores(level2, seed, spec)
     excited = level2_accuracies(seed, spec, prbs=plan)
     incip = sorted(spec.incipient)
@@ -261,14 +279,19 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
     plain = [c for c in spec.classes if c != 0 and c not in incip]
     rows = []
     for seed in seeds:
-        flat = fit_flat(seed, spec)
-        flat_report = evaluate_classifier(
-            flat, scenario_batch(seed, "test", spec))
-        hier = fit_hierarchical(seed, spec)
-        hier_report = evaluate_hierarchical(hier, seed, spec)
-        # the quiet specialist inside hier is the one excitation_gain
-        # would otherwise train again from the same data and seed
-        gain = excitation_gain(seed, spec, plan, level2=hier.level2)
+        # each quiet split is simulated and the training split
+        # standardized once, for the flat and the two-level model alike
+        scaled_train, scaler = _standardized(
+            scenario_batch(seed, "train", spec))
+        test_b = scenario_batch(seed, "test", spec)
+        flat = _fit_flat(seed, spec, scaled_train, scaler)
+        flat_report = evaluate_classifier(flat, test_b)
+        level1, lmap = _fit_level1(seed, spec, scaled_train, scaler)
+        level2 = _fit_level2(seed, spec, None)
+        hier_report = _hierarchical_report(
+            HierarchicalModel(level1, level2, lmap), test_b, test_b)
+        # the quiet specialist of the two-level model is the one scored
+        gain = excitation_gain(seed, spec, plan, level2)
         rows.append({
             "seed": int(seed),
             "flat_incipient": _class_mean(flat_report, incip),

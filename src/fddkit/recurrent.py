@@ -17,19 +17,21 @@ every array the loop reads or writes per step is laid out time-major:
   candidate and output at step t are four contiguous (N, d_h) blocks.
 
 The products keep their batch-major operands, so they round as a plain
-(N, T, d) layout would: the input projection ``x @ W.T + b`` is taken
-over (N, T, d_x) and copied once into gate-major order, the recurrent
-term ``h @ R.T`` is added through a (4, N, d_h) view of its rows, and
-the backward pass writes the gate gradients into the (N, 4*d_h) array
-that its products read.
+(N, T, d) layout would: the input projection ``x @ W.T`` is taken over
+(N, T, d_x) and copied into gate-major order with the bias added on the
+way, the recurrent term ``h @ R.T`` is added through a (4, N, d_h) view
+of its rows, and the backward pass writes the gate gradients into the
+(N, 4*d_h) array that its products read.
 
-There are two forward passes over the same step arithmetic.
-``lstm_forward_batch`` is the training pass: it fills the gate array per
-step by a single ``sigmoid`` call over all four blocks, with the
-candidate block then overwritten by ``tanh``, and keeps it with the cell
-states that ``lstm_backward`` reads back. ``lstm_hidden_batch`` is the
-inference pass: it returns only the hidden sequence and keeps no cache,
-so it allocates no full-length gate or cell arrays. Both give the same
+Both forward passes run the same in-place step on a (4, N, d_h)
+preactivation: ``sigmoid`` over the forget and input blocks and over
+the output block, ``tanh`` over the candidate block, and the cell state,
+its tanh and the hidden state written straight into their arrays.
+``lstm_forward_batch`` is the training pass: its step works in the gate
+array and the sequences that ``lstm_backward`` reads back.
+``lstm_hidden_batch`` is the inference pass: it returns only the hidden
+sequence, reusing one preactivation and one cell buffer across steps, so
+it allocates no full-length gate or cell arrays. Both give the same
 hidden states bit for bit.
 """
 
@@ -44,16 +46,18 @@ from .errors import DimensionError, FormatError, NumericError
 _MAGIC = b"FDK1"
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Numerically stable logistic function.
 
     1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
-    never overflows; both branches share e = exp(-|x|), which avoids
-    boolean-mask gathers and scatters.
+    never overflows. Both branches share e = exp(-|x|), and the numerator
+    is max(e, x >= 0): 1 where x >= 0 (e <= 1 there) and e elsewhere,
+    with no boolean-mask gathers and scatters. ``out``, as in numpy, may
+    be x itself.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0, out=out)
     e += 1.0
     out /= e
     return out
@@ -256,18 +260,27 @@ def _gate_rows(a):
     return a.reshape(a.shape[0], 4, -1).transpose(1, 0, 2)
 
 
-def _gate_step(a, c_prev):
-    """One time step from the gate-major preactivation a (4, N, d_h).
+def _gate_step(a, c_prev, c, tanh_c, h):
+    """One time step, in place, from the gate-major preactivation a
+    (4, N, d_h): a becomes the gate activations, and the cell state, tanh
+    of the cell state and the hidden state are written into c, tanh_c and
+    h. c may be c_prev, and tanh_c may be h."""
+    sigmoid(a[:2], out=a[:2])
+    sigmoid(a[3], out=a[3])
+    np.tanh(a[2], out=a[2])
+    f, i, g, o = a
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
 
-    Returns the gate activations (4, N, d_h), the cell state, tanh of the
-    cell state and the hidden state.
-    """
-    gt = sigmoid(a)
-    np.tanh(a[2], out=gt[2])
-    f, i, g, o = gt
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    return gt, c, tanh_c, o * tanh_c
+
+def _gate_major(xw, b, out):
+    """Copy the batch-major input projection xw (N, ..., 4*d_h) into the
+    gate-major out (..., 4, N, d_h), adding the bias b on the way."""
+    n, d_h = xw.shape[0], b.size // 4
+    xw = xw.reshape(n, -1, 4, d_h).transpose(1, 2, 0, 3).reshape(out.shape)
+    np.add(xw, b.reshape(4, 1, d_h), out=out)
 
 
 def lstm_forward_batch(x, params):
@@ -297,13 +310,13 @@ def lstm_forward_batch(x, params):
     # term depends on the previous step. The product stays batch-major (a
     # time-major one can take another BLAS path and round differently);
     # the gate array holds its copy and each step overwrites its slice.
-    gates = np.ascontiguousarray((x @ params.W.T + params.b).reshape(
-        n, t_len, 4, d_h).transpose(1, 2, 0, 3))
+    gates = np.empty((t_len, 4, n, d_h))
+    _gate_major(x @ params.W.T, params.b, gates)
     h_prev = c_prev = np.zeros((n, d_h))
     for t in range(t_len):
         a = gates[t]
         a += _gate_rows(h_prev @ params.R.T)
-        gates[t], c[t], tanh_c[t], h[t] = _gate_step(a, c_prev)
+        _gate_step(a, c_prev, c[t], tanh_c[t], h[t])
         h_prev, c_prev = h[t], c[t]
 
     h, c, tanh_c = (s.transpose(1, 0, 2) for s in (h, c, tanh_c))
@@ -325,13 +338,17 @@ def lstm_hidden_batch(x, params):
     n, t_len, _ = x.shape
     d_h = params.d_h
     h = np.empty((t_len, n, d_h))
-    h_prev = c_prev = np.zeros((n, d_h))
-    # batch-major like lstm_forward_batch, and read per step in place
-    # rather than copied, so no second (N, T, 4*d_h) array is made
-    xw = x @ params.W.T + params.b
+    a = np.empty((4, n, d_h))
+    c = np.zeros((n, d_h))
+    h_prev = np.zeros((n, d_h))
+    # batch-major like lstm_forward_batch, and copied one step at a time
+    # into the preactivation buffer, so no second (N, T, 4*d_h) array is
+    # made; tanh of the cell state goes straight into h[t]
+    xw = x @ params.W.T
     for t in range(t_len):
-        a = _gate_rows(xw[:, t]) + _gate_rows(h_prev @ params.R.T)
-        _, c_prev, _, h[t] = _gate_step(a, c_prev)
+        _gate_major(xw[:, t], params.b, a)
+        a += _gate_rows(h_prev @ params.R.T)
+        _gate_step(a, c, c, h[t], h[t])
         h_prev = h[t]
     return h.transpose(1, 0, 2)
 
@@ -508,7 +525,8 @@ def load_params(path):
 
     Raises FormatError when the file is not a complete parameter file:
     a wrong magic number, a header, layer table or array cut short,
-    sizes that do not chain, or bytes left over at the end.
+    sizes that do not chain, bytes left over at the end, or a value that
+    is not finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -537,6 +555,7 @@ def load_params(path):
             "file is corrupt")
     dims = [struct.unpack_from("<II", blob, take_bytes(8))
             for _ in range(n_layers)]
+    arrays_at = off
     layers = [LstmParams(take((4 * d_h, d_x)), take((4 * d_h, d_h)),
                          take((4 * d_h,)))
               for d_x, d_h in dims]
@@ -545,6 +564,10 @@ def load_params(path):
     b_c = take((n_classes,))
     if off != len(blob):
         raise FormatError(f"{path} has trailing bytes; file is corrupt")
+    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8",
+                                            offset=arrays_at))):
+        raise FormatError(f"{path} holds non-finite parameter values; "
+                          "file is corrupt")
     try:
         return ParamSet(layers, W_c, b_c, n_encoder)
     except DimensionError as exc:

@@ -261,15 +261,19 @@ def test_corrupt_params_exit_one(tmp_path, capsys):
     blob = (model_dir / "params.bin").read_bytes()
     eval_cfg = write_config(tmp_path / "eval.json",
                             {"seed": 2, "surrogate": TINY_SURROGATE,
-                             "model": str(model_dir)})
-    for junk in (b"not a parameter file", blob[:10], blob[:-8],
-                 blob + b"\0"):
+                             "model": str(model_dir),
+                             "level1": str(model_dir),
+                             "level2": str(model_dir)})
+    # a NaN or an infinity as the last weight of the head
+    non_finite = [blob[:-8] + np.array([v], dtype="<f8").tobytes()
+                  for v in (np.nan, np.inf, -np.inf)]
+    for junk in [b"not a parameter file", blob[:10], blob[:-8],
+                 blob + b"\0", *non_finite]:
         (model_dir / "params.bin").write_bytes(junk)
-        capsys.readouterr()
-        assert main(["evaluate", "--config", eval_cfg,
-                     "--out", str(tmp_path / "rep")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("fddkit: ") and err.count("\n") == 1
+        for mode in ([], ["--hierarchical"]):
+            _assert_one_line_exit_one(
+                ["evaluate", "--config", eval_cfg,
+                 "--out", str(tmp_path / "rep")] + mode, capsys)
 
 
 def test_tune_rejects_unknown_mode(tmp_path, capsys):
@@ -289,6 +293,13 @@ def _corrupt_scaler_text(kind, rng):
                                   dtype=np.uint8))
     n = int(rng.integers(1, 11))
     vals = rng.normal(size=n).tolist()
+    if kind in ("nan_mean", "inf_std"):
+        # well-formed for the 10-column data but for one value, which
+        # json writes as NaN or Infinity and reads back
+        rec = {"mean": rng.normal(size=10).tolist(), "std": [1.0] * 10}
+        key, bad = ("mean", np.nan) if kind == "nan_mean" else ("std", np.inf)
+        rec[key][int(rng.integers(10))] = bad
+        return json.dumps(rec).encode()
     rec = {"list": [1, 2],
            "no_std": {"mean": vals},
            "string_mean": {"mean": "0.0", "std": [1.0] * n}}[kind]
@@ -314,7 +325,8 @@ def _assert_one_line_exit_one(argv, capsys):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("kind", ["junk", "list", "no_std", "string_mean"])
+@pytest.mark.parametrize("kind", ["junk", "list", "no_std", "string_mean",
+                                  "nan_mean", "inf_std"])
 def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
     rng = np.random.default_rng([seed, len(kind)])
     bad = tmp_path / "scaler.json"
@@ -333,9 +345,12 @@ def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
     (model_dir / "scaler.json").write_bytes(bad.read_bytes())
     ev = write_config(tmp_path / "eval.json",
                       {"seed": 2, "surrogate": TINY_SURROGATE,
-                       "model": str(model_dir)})
-    assert "scaler" in _assert_one_line_exit_one(
-        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+                       "model": str(model_dir), "level1": str(model_dir),
+                       "level2": str(model_dir)})
+    for mode in ([], ["--hierarchical"]):
+        assert "scaler" in _assert_one_line_exit_one(
+            ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
+            + mode, capsys)
 
 
 @pytest.mark.parametrize("name, text", [

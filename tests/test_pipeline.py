@@ -148,7 +148,8 @@ def test_level2_accuracies_keys():
 
 
 def test_excitation_gain_structure():
-    out = excitation_gain(1, SMALL_HIER)
+    level2 = fit_hierarchical(1, SMALL_HIER).level2
+    out = excitation_gain(1, SMALL_HIER, PLAN, level2)
     assert set(out) == {"quiet", "excited", "gain"}
     expect = np.mean([out["excited"][c] - out["quiet"][c]
                       for c in (3, 11)])
@@ -162,6 +163,35 @@ def test_benchmark_scores_the_hierarchical_level2_as_standalone():
     assert row["level2_quiet"] == level2_accuracies(1, SMALL_HIER)
     assert row["level2_excited"] == level2_accuracies(1, SMALL_HIER,
                                                       prbs=PLAN)
+
+
+def test_benchmark_simulates_each_split_once(monkeypatch):
+    # the quiet train and test splits feed the flat and the two-level
+    # model alike; the rows equal those of the public entry points
+    import fddkit.pipeline as pipeline
+    runs = []
+    real = pipeline.simulate_scenario
+
+    def counting(plant, **kwargs):
+        runs.append(kwargs["prbs"] is not None)
+        return real(plant, **kwargs)
+
+    monkeypatch.setattr(pipeline, "simulate_scenario", counting)
+    row = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER,
+                              plan=PLAN)["per_seed"][0]
+    # quiet train and test: 4 classes; level 2, quiet and probed train
+    # and test: 3 classes each
+    assert len(runs) == 2 * 4 + 4 * 3 and sum(runs) == 2 * 3
+    monkeypatch.undo()
+
+    flat = evaluate_classifier(fit_flat(1, SMALL_HIER),
+                               scenario_batch(1, "test", SMALL_HIER))
+    hier = evaluate_hierarchical(fit_hierarchical(1, SMALL_HIER), 1,
+                                 SMALL_HIER)
+    assert row["flat_incipient"] == np.mean([flat.fdr_by_class[c]
+                                             for c in (3, 11)])
+    assert row["flat_plain"] == flat.fdr_by_class[1]
+    assert row["hier_plain"] == hier.fdr_by_class[1]
 
 
 def test_tune_classifier_smoke():

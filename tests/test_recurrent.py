@@ -163,6 +163,46 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
     assert math.copysign(1.0, sigmoid(np.array([-0.0]))[0]) == 1.0
 
 
+def test_sigmoid_in_place_on_strided_gate_views_matches_bitwise():
+    edge = np.array([0.0, -0.0, 709.0, -709.0, 745.2, -745.2,
+                     1e-300, -1e-300, 5e-324, -5e-324])
+    draws = np.random.default_rng(23).normal(scale=8.0, size=(3, 4, 5, 10))
+    draws[:, :, 0] = edge
+    # the blocks the step hands to sigmoid: forget and input together,
+    # then output, each a strided view of the (T, 4, N, d_h) gate array
+    for view in (lambda g: g[:, :2], lambda g: g[:, 3], lambda g: g[1, :2]):
+        gates = draws.copy()
+        x = view(gates)
+        expect = two_branch_sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        np.testing.assert_array_equal(x, expect)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(expect))
+        np.testing.assert_array_equal(gates[:, 2], draws[:, 2])
+
+
+def test_lstm_step_takes_sigmoid_of_three_gate_blocks(monkeypatch):
+    # the candidate block goes through tanh alone, in the training and
+    # the inference pass alike
+    import fddkit.recurrent as recurrent
+    seen = []
+    real = recurrent.sigmoid
+
+    def counting(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    n, t_len, d_x, d_h = 7, 5, 3, 4
+    p = init_params([(d_x, d_h)], n_classes=2, seed=6).layers[0]
+    x = np.random.default_rng(9).normal(size=(n, t_len, d_x))
+    h, _, _ = lstm_forward_batch(x, p)
+    monkeypatch.setattr(recurrent, "sigmoid", counting)
+    for hidden in (lambda: lstm_forward_batch(x, p)[0],
+                   lambda: lstm_hidden_batch(x, p)):
+        seen.clear()
+        np.testing.assert_array_equal(hidden(), h)
+        assert sum(seen) == 3 * n * t_len * d_h
+
+
 def per_gate_forward(x, p):
     """Reference LSTM forward: one nonlinearity call per gate block."""
     n, t_len, _ = x.shape
@@ -466,4 +506,16 @@ def test_load_params_rejects_truncated_and_padded_files(tmp_path):
     for variant in variants:
         path.write_bytes(variant)
         with pytest.raises(FormatError):
+            load_params(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_params_rejects_non_finite_values(tmp_path, bad):
+    p = init_params([(5, 4), (4, 2)], n_classes=3, seed=77, n_encoder=1)
+    for k in range(len(p.flat_arrays())):
+        q = p.copy()
+        q.flat_arrays()[k].reshape(-1)[-1] = bad
+        path = tmp_path / f"params{k}.bin"
+        save_params(q, path)
+        with pytest.raises(FormatError, match="non-finite"):
             load_params(path)
