@@ -15,14 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (Scaler, SplitSpec, WindowBatch, load_labels,
-                     load_matrix, make_windows, read_json, save_labels,
+from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
+                     NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT, Scaler,
+                     SplitSpec, WindowBatch, load_labels, load_matrix,
+                     make_windows, read_fields, read_json, save_labels,
                      save_matrix, split)
 from .errors import ConfigError, FddError, FormatError, NumericError
 from .hierarchy import HierarchicalModel, merged_subset, regroup_labels
 from .metrics import (build_report, confusion, format_report, load_report,
                       save_report)
-from .model import load_model, save_model
+from .model import MODEL_FIELDS, load_model, save_model
 from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
                        fit_classifier, infer_with_twins, scenario_batch,
@@ -33,81 +35,85 @@ from .prbs import BandSpec, design_band, load_plan, plan_from_band, save_plan
 
 MODES = ("flat", "level1", "level2")
 
+# Field tables: the kind of each key of each config node. A command reads
+# "model" as a node (train, tune) or a path (evaluate), and "prbs" as
+# "default", a plan path or a node.
+CONFIG = {
+    "seed": INTEGER, "horizon": INTEGER, "plant": OBJECT, "fault": OBJECT,
+    "prbs": STRING_OR_OBJECT, "data": PATH, "labels": PATH,
+    "window": INTEGER, "expected_cols": INTEGER, "split": OBJECT,
+    "contiguous": BOOL, "scaler": PATH, "archive": PATH,
+    "n_classes": INTEGER, "incipient": INTEGERS, "surrogate": OBJECT,
+    "model": OBJECT, "mode": STRING, "budget": INTEGER,
+    "search_space": OBJECT, "level1": PATH, "level2": PATH, "report": PATH,
+}
+PLANT = {
+    "a": MATRIX, "b": MATRIX, "c": MATRIX, "noise_std": NUMBERS,
+    "controlled": INTEGERS, "setpoints": NUMBERS, "setpoint_ranges": NUMBERS,
+    "kp": NUMBERS, "ki": NUMBERS, "t_s": NUMBER,
+}
+FAULT = {
+    "kind": STRING, "target": INTEGER, "magnitude": NUMBER, "onset": INTEGER,
+    "slope": NUMBER, "deadband": NUMBER, "std": NUMBER, "site": STRING,
+    "fault_class": INTEGER,
+}
+LIBRARY_FAULT = {"class": INTEGER, "onset": FAULT["onset"]}
+PRBS = {
+    "tau_ol": NUMBER, "tau_cl": NUMBER, "s_f": NUMBER, "omega_low": NUMBER,
+    "omega_high": NUMBER, "omega_nyquist": NUMBER, "t_s": NUMBER,
+    "amplitude": NUMBER, "burst_len": INTEGER, "burst_interval": INTEGER,
+    "target": LOOP,
+}
+PLAN_REF = {"plan": PATH}
+SURROGATE = {
+    "classes": INTEGERS, "incipient": INTEGERS, "n_series": INTEGER,
+    "n_series_level2": INTEGER, "horizon": INTEGER, "window": INTEGER,
+    "onset": INTEGER, "epochs": INTEGER, "learning_rate": NUMBER,
+    "batch_size": INTEGER, "encoder": INTEGERS, "decoder": INTEGERS,
+}
+SPLIT = {"train": NUMBER, "val": NUMBER, "test": NUMBER}
+SEARCH_SPACE = {
+    key: kind.listed(f"a non-empty list, each entry {kind.name}", least=1)
+    for key, kind in MODEL_FIELDS.items()}
 
-def _load_config(path):
+
+def _load_config(path, required=(), **kinds):
+    """The config's root, read by CONFIG with kinds in place of its own;
+    the seed and the required keys must be present."""
     try:
         cfg = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    seed = cfg.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"{path}: an integer seed is mandatory")
-    return cfg
+    return read_fields(cfg, {**CONFIG, **kinds}, "config", ConfigError,
+                       required=("seed", *required))
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    return cfg[key]
-
-
-def _path(node, key):
-    """The path a required key names. It must be a string: open() would
-    take an integer as a file descriptor, and stdin is descriptor 0."""
-    value = _require(node, key)
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a path string, "
-                          f"not {value!r}")
-    return value
-
-
-def _check_keys(node, allowed, what):
-    """Reject a node that is not a JSON object or has keys outside allowed."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"config key {what!r} must be a JSON object")
-    extra = set(node) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+def _given(node, *keys):
+    """The keys node holds, so that a callee's defaults apply to the rest."""
+    return {key: node[key] for key in keys if key in node}
 
 
 def _plant_from(cfg, seed):
-    node = cfg.get("plant")
     plant = default_plant(seed=seed)
-    if node is None:
+    if "plant" not in cfg:
         return plant
-    _check_keys(node, ("a", "b", "c", "noise_std", "controlled",
-                       "setpoints", "setpoint_ranges", "kp", "ki", "t_s"),
-                "plant")
-    rep = {}
-    for key in ("a", "b", "c", "noise_std"):
-        if key in node:
-            rep[key] = np.asarray(node[key], dtype=np.float64)
-    for key in ("controlled", "setpoints", "setpoint_ranges", "kp", "ki"):
-        if key in node:
-            rep[key] = tuple(node[key])
-    if "t_s" in node:
-        rep["t_s"] = float(node["t_s"])
-    return dataclasses.replace(plant, **rep)
+    return dataclasses.replace(
+        plant, **read_fields(cfg["plant"], PLANT, "plant", ConfigError))
 
 
 def _fault_from(cfg):
     node = cfg.get("fault")
     if node is None:
         return None
-    if isinstance(node, dict) and "class" in node:
-        _check_keys(node, ("class", "onset"), "fault")
-        lib = default_fault_library(onset=int(node.get("onset", 100)))
-        cls = int(node["class"])
+    if "class" in node:
+        node = read_fields(node, LIBRARY_FAULT, "fault", ConfigError)
+        cls = node.pop("class")
+        lib = default_fault_library(**node)
         if cls not in lib:
             raise ConfigError(f"no library fault with class {cls}")
         return lib[cls]
-    fields = ("kind", "target", "magnitude", "onset", "slope", "deadband",
-              "std", "site", "fault_class")
-    _check_keys(node, fields, "fault")
-    kwargs = {k: node[k] for k in fields if k in node}
-    return FaultSpec(**kwargs)
+    return FaultSpec(**read_fields(node, FAULT, "fault", ConfigError,
+                                   required=("kind", "target")))
 
 
 def _plan_from(cfg, plant):
@@ -118,48 +124,30 @@ def _plan_from(cfg, plant):
         return default_excitation(plant)
     if isinstance(node, str):
         return load_plan(node)
-    if isinstance(node, dict) and "plan" in node:
-        return load_plan(_path(node, "plan"))
-    _check_keys(node, ("tau_ol", "tau_cl", "s_f", "omega_low", "omega_high",
-                       "omega_nyquist", "t_s", "amplitude", "burst_len",
-                       "burst_interval", "target"), "prbs")
-    nyq = float(node.get("omega_nyquist", np.pi / plant.t_s))
-    if "tau_ol" in node or "tau_cl" in node:
-        band = design_band(float(_require(node, "tau_ol")),
-                           float(_require(node, "tau_cl")),
-                           s_f=float(node.get("s_f", 2.0)),
-                           omega_nyquist=nyq)
+    if "plan" in node:
+        return load_plan(
+            read_fields(node, PLAN_REF, "prbs", ConfigError)["plan"])
+    band_keys = (("tau_ol", "tau_cl") if "tau_ol" in node or "tau_cl" in node
+                 else ("omega_low", "omega_high"))
+    node = read_fields(node, PRBS, "prbs", ConfigError, required=band_keys)
+    nyq = node.get("omega_nyquist", np.pi / plant.t_s)
+    if "tau_ol" in node:
+        band = design_band(node["tau_ol"], node["tau_cl"],
+                           omega_nyquist=nyq, **_given(node, "s_f"))
     else:
-        band = BandSpec(float(_require(node, "omega_low")),
-                        float(_require(node, "omega_high")),
-                        omega_nyquist=nyq,
-                        s_f=float(node.get("s_f", 2.0)))
+        band = BandSpec(node["omega_low"], node["omega_high"],
+                        omega_nyquist=nyq, **_given(node, "s_f"))
     target = node.get("target", "loop1")
     loop = _target_loop(target, plant.n_loops)
-    amplitude = node.get("amplitude")
-    if amplitude is None:
-        amplitude = 0.02 * plant.setpoint_ranges[loop]
-    kwargs = {}
-    for k in ("burst_len", "burst_interval"):
-        if k in node:
-            kwargs[k] = int(node[k])
-    return plan_from_band(band, float(node.get("t_s", plant.t_s)),
-                          amplitude=float(amplitude), target=str(target),
-                          **kwargs)
+    amplitude = node.get("amplitude", 0.02 * plant.setpoint_ranges[loop])
+    return plan_from_band(band, node.get("t_s", plant.t_s),
+                          amplitude=amplitude, target=str(target),
+                          **_given(node, "burst_len", "burst_interval"))
 
 
 def _spec_from(cfg):
-    node = cfg.get("surrogate", {})
-    allowed = ("classes", "incipient", "n_series", "n_series_level2",
-               "horizon", "window", "onset", "epochs", "learning_rate",
-               "batch_size", "encoder", "decoder")
-    _check_keys(node, allowed, "surrogate")
-    kwargs = {}
-    for k in allowed:
-        if k in node:
-            v = node[k]
-            kwargs[k] = tuple(v) if isinstance(v, list) else v
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**read_fields(cfg.get("surrogate", {}), SURROGATE,
+                                        "surrogate", ConfigError))
 
 
 def _out_dir(args):
@@ -178,7 +166,7 @@ def cmd_simulate(args):
     fault = _fault_from(cfg)
     plan = _plan_from(cfg, plant)
     ds = simulate_scenario(plant, fault=fault, prbs=plan,
-                           horizon=int(cfg.get("horizon", 500)))
+                           **_given(cfg, "horizon"))
     out = _out_dir(args)
     save_matrix(out / "records.txt", ds.records)
     save_labels(out / "labels.txt", ds.labels)
@@ -198,24 +186,22 @@ def cmd_simulate(args):
 
 
 def cmd_ingest(args):
-    cfg = _load_config(args.config)
-    data = load_matrix(_path(cfg, "data"),
-                       expected_cols=cfg.get("expected_cols"))
-    labels = load_labels(_path(cfg, "labels"))
-    window = int(_require(cfg, "window"))
+    cfg = _load_config(args.config, ("data", "labels", "window"))
+    data = load_matrix(cfg["data"], expected_cols=cfg.get("expected_cols"))
+    labels = load_labels(cfg["labels"])
+    window = cfg["window"]
     batch = make_windows(data, labels, window)
-    node = cfg.get("split", {"train": 0.6, "val": 0.2, "test": 0.2})
-    _check_keys(node, ("train", "val", "test"), "split")
-    spec = SplitSpec(train=float(node.get("train", 0.0)),
-                     val=float(node.get("val", 0.0)),
-                     test=float(node.get("test", 0.0)),
-                     contiguous=bool(cfg.get("contiguous", True)))
+    node = read_fields(cfg.get("split", {"train": 0.6, "val": 0.2,
+                                         "test": 0.2}),
+                       SPLIT, "split", ConfigError)
+    spec = SplitSpec(**{"train": 0.0, "val": 0.0, "test": 0.0, **node},
+                     **_given(cfg, "contiguous"))
     parts = dict(zip(("train", "val", "test"),
                      split(batch, spec, seed=cfg["seed"])))
     if "scaler" in cfg:
         # Pre-split archives keep training and held-out recordings in
         # separate files; the held-out ingest reuses the saved scaler.
-        scaler = Scaler.load(_path(cfg, "scaler"))
+        scaler = Scaler.load(cfg["scaler"])
     elif len(parts["train"]) == 0:
         raise ConfigError(
             "no train windows to fit a scaler on; use a nonzero train "
@@ -271,15 +257,14 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     series count, probing plan) and relabelling as the training split.
     """
     spec = _spec_from(cfg)
-    incipient = tuple(cfg.get("incipient", spec.incipient))
+    incipient = cfg.get("incipient", spec.incipient)
     if "archive" in cfg:
-        archive = _path(cfg, "archive")
+        archive = cfg["archive"]
         train_b = _archive_batch(archive, "train")
         if train_b is None:
             raise ConfigError(f"no train split under {archive}")
         val_b = _archive_batch(archive, "val")
-        n_classes = int(cfg.get("n_classes",
-                                int(train_b.labels.max()) + 1))
+        n_classes = cfg.get("n_classes", int(train_b.labels.max()) + 1)
     else:
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         level2 = mode == "level2"
@@ -311,21 +296,10 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     return rewrap(train_b), rewrap(val_b), n_out, spec
 
 
-# ModelConfig fields a config's model node (and tune's search space) may set
-MODEL_KEYS = ("encoder", "decoder", "lam1", "lam2", "lam3", "learning_rate",
-              "epochs", "batch_size")
-
-
 def _model_config(cfg, spec, n_classes, n_features, seed):
     base = classifier_config(n_classes, seed, spec, n_features=n_features)
-    node = cfg.get("model", {})
-    _check_keys(node, MODEL_KEYS, "model")
-    rep = {}
-    for k in MODEL_KEYS:
-        if k in node:
-            v = node[k]
-            rep[k] = tuple(v) if isinstance(v, list) else v
-    return dataclasses.replace(base, **rep) if rep else base
+    return dataclasses.replace(base, **read_fields(
+        cfg.get("model", {}), MODEL_FIELDS, "model", ConfigError))
 
 
 def cmd_train(args):
@@ -356,9 +330,9 @@ def cmd_tune(args):
     mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
     space = cfg.get("search_space")
     if space is not None:
-        _check_keys(space, MODEL_KEYS, "search_space")
+        space = read_fields(space, SEARCH_SPACE, "search_space", ConfigError)
     model = tune_classifier(train_b, val_b, mcfg, search_space=space,
-                            budget=int(cfg.get("budget", 4)))
+                            **_given(cfg, "budget"))
     out = _out_dir(args)
     save_model(model, out)
     print(f"tuned model: learning_rate={model.config.learning_rate}")
@@ -371,7 +345,7 @@ def _test_data(cfg, seed, spec, probed=False):
         if probed:
             raise ConfigError("probed evaluation needs surrogate data, "
                               "not an archive")
-        batch = _archive_batch(_path(cfg, "archive"), "test")
+        batch = _archive_batch(cfg["archive"], "test")
         if batch is None:
             raise ConfigError(f"no test split under {cfg['archive']}")
         return batch
@@ -383,7 +357,8 @@ def _test_data(cfg, seed, spec, probed=False):
 
 
 def cmd_evaluate(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ("level1", "level2") if args.hierarchical
+                       else ("model",), model=PATH)
     seed = cfg["seed"]
     spec = _spec_from(cfg)
     quiet = _test_data(cfg, seed, spec)
@@ -393,10 +368,10 @@ def cmd_evaluate(args):
                 "dataset": cfg.get("archive", "surrogate"),
                 "prbs": args.prbs}
     if args.hierarchical:
-        level1 = load_model(Path(_path(cfg, "level1")))
-        level2 = load_model(Path(_path(cfg, "level2")))
-        incipient = tuple(cfg.get("incipient", spec.incipient))
-        n_classes = int(cfg.get("n_classes", max(spec.classes) + 1))
+        level1 = load_model(Path(cfg["level1"]))
+        level2 = load_model(Path(cfg["level2"]))
+        incipient = cfg.get("incipient", spec.incipient)
+        n_classes = cfg.get("n_classes", max(spec.classes) + 1)
         _, lmap = regroup_labels(np.zeros(1, dtype=np.int64), incipient,
                                  n_classes=n_classes)
         metadata["model"] = f"{cfg['level1']}+{cfg['level2']}"
@@ -405,8 +380,8 @@ def cmd_evaluate(args):
         cm = confusion(quiet.labels, preds, lmap.n_original)
         report = build_report(cm, normal=0, metadata=metadata)
     else:
-        model = load_model(Path(_path(cfg, "model")))
-        metadata["model"] = str(cfg["model"])
+        model = load_model(Path(cfg["model"]))
+        metadata["model"] = cfg["model"]
         report = evaluate_classifier(model, probed, metadata=metadata)
     out = _out_dir(args)
     save_report(report, out)
@@ -427,8 +402,8 @@ def cmd_prbs_design(args):
 
 
 def cmd_report(args):
-    cfg = _load_config(args.config)
-    report = load_report(_path(cfg, "report"))
+    cfg = _load_config(args.config, ("report",))
+    report = load_report(cfg["report"])
     print(format_report(report), end="")
     return 0
 

@@ -4,10 +4,11 @@ Data files are whitespace-delimited numeric matrices, one sample per row,
 with an optional sidecar label file holding one integer per line.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 import json
 import logging
-import math
+import sys
 
 import numpy as np
 
@@ -63,17 +64,12 @@ class Scaler:
     def load(cls, path):
         """Read a file written by save; FormatError if it is not one.
 
-        json reads NaN and Infinity, so finiteness is checked here: an
-        infinite std would silently zero its column.
+        NUMBERS holds finite numbers only, though json reads NaN and
+        Infinity: an infinite std would silently zero its column.
         """
-        rec = read_json(path)
-        if not (isinstance(rec, dict) and all(
-                isinstance(rec.get(key), list)
-                and all(type(v) in (int, float) and math.isfinite(v)
-                        for v in rec[key])
-                for key in ("mean", "std"))):
-            raise FormatError(f"{path}: a scaler needs 'mean' and 'std' "
-                              "lists of finite numbers")
+        fields = {"mean": NUMBERS, "std": NUMBERS}
+        rec = read_fields(read_json(path), fields, path, FormatError,
+                          required=fields)
         return cls(rec["mean"], rec["std"])
 
 
@@ -84,6 +80,89 @@ def read_json(path):
             return json.load(fh)
     except ValueError as exc:   # also UnicodeDecodeError
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+# A field table maps each key of one JSON object to the kind of its value.
+# A kind is a name for messages and read(value), which returns the value
+# converted or _WRONG. Ranges and defaults stay where the values are used.
+_WRONG = object()
+
+
+class _Kind(namedtuple("_Kind", "name read")):
+
+    def listed(self, name, least=0):
+        """The kind of a list of at least `least` values of this kind."""
+        def read(value):
+            if not isinstance(value, list) or len(value) < least:
+                return _WRONG
+            out = tuple(map(self.read, value))
+            return _WRONG if any(v is _WRONG for v in out) else out
+        return _Kind(name, read)
+
+
+def _rates(value):
+    """Numbers keyed by class, as summary.json's fdr_by_class holds them."""
+    if not isinstance(value, dict) or not all(map(str.isdecimal, value)):
+        return _WRONG
+    out = {int(k): NUMBER.read(v) for k, v in value.items()}
+    return _WRONG if any(v is _WRONG for v in out.values()) else out
+
+
+def _matrix(value):
+    rows = _ROWS.read(value)
+    return rows if rows is _WRONG or len(set(map(len, rows))) < 2 else _WRONG
+
+
+# Python's bool is an int, but true is no integer here, and 1.5 is none
+# either. A number is finite (json reads NaN and Infinity) and read as a
+# float; the bound also keeps float() from overflowing on a huge integer.
+INTEGER = _Kind("an integer", lambda v: v if type(v) is int else _WRONG)
+NUMBER = _Kind("a number", lambda v: float(v) if type(v) in (int, float)
+               and abs(v) <= sys.float_info.max else _WRONG)
+NUMBER_OR_NULL = _Kind("a number or null",
+                       lambda v: None if v is None else NUMBER.read(v))
+STRING = _Kind("a string", lambda v: v if isinstance(v, str) else _WRONG)
+# open() would take an integer path as a file descriptor, and stdin is 0.
+PATH = _Kind("a path string", STRING.read)
+BOOL = _Kind("true or false", lambda v: v if type(v) is bool else _WRONG)
+OBJECT = _Kind("a JSON object",
+               lambda v: v if isinstance(v, dict) else _WRONG)
+STRING_OR_OBJECT = _Kind("a string or a JSON object",
+                         lambda v: v if isinstance(v, (str, dict)) else _WRONG)
+LOOP = _Kind("'loopK' or an integer K",
+             lambda v: v if isinstance(v, str) or type(v) is int else _WRONG)
+INTEGERS = INTEGER.listed("a list of integers")
+NUMBERS = NUMBER.listed("a list of numbers")
+_ROWS = NUMBERS.listed("a list of number lists")
+MATRIX = _Kind("a list of equal-length lists of numbers", _matrix)
+RATES = _Kind("an object of numbers keyed by class", _rates)
+
+
+def read_fields(node, fields, what, error, required=()):
+    """The entries of a JSON object, each read by its kind in the field
+    table (numbers as floats, lists as tuples); error if node is not an
+    object, has a key the table lacks or a value of another kind, or
+    lacks a required key.
+
+    what names the node in messages: a config key such as 'split', or
+    a file's path. Config keys are named "config key 'k'".
+    """
+    if not isinstance(node, dict):
+        raise error(f"{what} must be a JSON object")
+    extra = sorted(set(node) - set(fields))
+    if extra:
+        raise error(f"unknown {what} keys: {extra}")
+    owner = "config" if error is ConfigError else what
+    for key in required:
+        if key not in node:
+            raise error(f"{owner} key {key!r} is required")
+    out = {}
+    for key, value in node.items():
+        out[key] = fields[key].read(value)
+        if out[key] is _WRONG:
+            raise error(f"{owner} key {key!r} must be {fields[key].name}, "
+                        f"not {value!r}")
+    return out
 
 
 def _numbered_lines(path):

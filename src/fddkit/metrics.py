@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_matrix, read_json
+from .dataio import (INTEGER, INTEGERS, NUMBER_OR_NULL, OBJECT, RATES,
+                     load_matrix, read_fields, read_json)
 from .errors import (ConfigError, DimensionError, FormatError,
                      UndefinedMetricError)
 
@@ -152,20 +153,20 @@ def load_report(directory):
     if not np.all((counts == np.round(counts)) & (np.abs(counts) <= 2 ** 53)):
         raise FormatError(f"{path}: confusion counts must be whole numbers")
     path = directory / "summary.json"
-    summary = read_json(path)
-    try:
-        return EvalReport(
-            cm=ConfusionMatrix(counts),
-            fdr_by_class={int(k): float(v)
-                          for k, v in summary["fdr_by_class"].items()},
-            far=summary["far"],
-            avg_fdr=summary["average_fdr"],
-            avg_classes=tuple(summary["average_classes"]),
-            normal_class=summary["normal_class"],
-            metadata=dict(summary["metadata"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: not a report summary ({exc!r})") from None
+    fields = {"fdr_by_class": RATES, "far": NUMBER_OR_NULL,
+              "average_fdr": NUMBER_OR_NULL, "average_classes": INTEGERS,
+              "normal_class": INTEGER, "metadata": OBJECT}
+    summary = read_fields(read_json(path), fields, path, FormatError,
+                          required=fields)
+    return EvalReport(
+        cm=ConfusionMatrix(counts),
+        fdr_by_class=summary["fdr_by_class"],
+        far=summary["far"],
+        avg_fdr=summary["average_fdr"],
+        avg_classes=summary["average_classes"],
+        normal_class=summary["normal_class"],
+        metadata=summary["metadata"],
+    )
 
 
 def save_report(report, directory):

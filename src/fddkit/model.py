@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .dataio import Scaler, WindowBatch, read_json
+from .dataio import (INTEGER, INTEGERS, NUMBER, Scaler, WindowBatch,
+                     read_fields, read_json)
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericDivergenceError)
 from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
@@ -35,6 +36,15 @@ DEFAULT_SEARCH_SPACE = {"learning_rate": [1e-1, 2e-1, 3e-1, 1e-2]}
 
 # Epochs of the first successive-halving stage; each later stage doubles it.
 STAGE_EPOCHS = 2
+
+
+# Field table of the ModelConfig fields a config's model node (and each
+# candidate list of tune's search space) may set.
+MODEL_FIELDS = {
+    "encoder": INTEGERS, "decoder": INTEGERS, "lam1": NUMBER, "lam2": NUMBER,
+    "lam3": NUMBER, "learning_rate": NUMBER, "epochs": INTEGER,
+    "batch_size": INTEGER,
+}
 
 
 @dataclass
@@ -337,11 +347,12 @@ def save_model(model, directory):
 def load_model(directory):
     """Read a save_model directory; FormatError if a file is damaged."""
     path = directory / "config.json"
-    rec = read_json(path)
-    try:
-        config = ModelConfig(**rec)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: not a model config ({exc})") from None
+    fields = {**MODEL_FIELDS, "n_features": INTEGER, "n_classes": INTEGER,
+              "horizon": INTEGER, "seed": INTEGER}
+    config = ModelConfig(**read_fields(
+        read_json(path), fields, path, FormatError,
+        required=("encoder", "decoder", "n_features", "n_classes",
+                  "horizon")))
     params = load_params(directory / "params.bin")
     path = directory / "history.tsv"
     history = []

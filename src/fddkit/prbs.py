@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .dataio import read_json
+from .dataio import INTEGER, INTEGERS, LOOP, NUMBER, read_fields, read_json
 from .errors import ConfigError, DesignError, FormatError
 
 # Primitive-polynomial tap positions for a Fibonacci LFSR, by register length.
@@ -222,12 +222,9 @@ def save_plan(plan, path):
 
 def load_plan(path):
     """Read a save_plan file; FormatError if it is not one."""
-    rec = read_json(path)
-    try:
-        return PrbsPlan(amplitude=rec["amplitude"], t_clock=rec["t_clock"],
-                        n_register=rec["n_register"], period=rec["period"],
-                        taps=tuple(rec["taps"]), burst_len=rec["burst_len"],
-                        burst_interval=rec["burst_interval"],
-                        target=rec.get("target", ""))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: not a plan record ({exc!r})") from None
+    fields = {"amplitude": NUMBER, "t_clock": NUMBER, "n_register": INTEGER,
+              "period": INTEGER, "taps": INTEGERS, "burst_len": INTEGER,
+              "burst_interval": INTEGER, "target": LOOP}
+    return PrbsPlan(**read_fields(
+        read_json(path), fields, path, FormatError,
+        required=[key for key in fields if key != "target"]))

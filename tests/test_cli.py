@@ -7,7 +7,9 @@ import pytest
 
 import fddkit.cli
 from fddkit.cli import main
-from fddkit.dataio import (Scaler, load_labels, load_matrix, save_labels,
+from fddkit.dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
+                           NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT,
+                           Scaler, load_labels, load_matrix, save_labels,
                            save_matrix)
 from fddkit.metrics import build_report, confusion, save_report
 from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
@@ -385,7 +387,8 @@ def _cut_text(text, rng):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("kind", ["junk", "cut", "list", "int_taps"])
+@pytest.mark.parametrize("kind", ["junk", "cut", "list", "int_taps",
+                                  "str_amplitude"])
 def test_corrupt_plan_exits_one(tmp_path, capsys, kind, seed):
     rng = np.random.default_rng([seed, len(kind)])
     good = write_config(tmp_path / "p.json", {"seed": 0, "prbs": "default"})
@@ -399,9 +402,12 @@ def test_corrupt_plan_exits_one(tmp_path, capsys, kind, seed):
         plan.write_text(_cut_text(text, rng))
     elif kind == "list":
         plan.write_text(json.dumps(rng.normal(size=3).tolist()))
-    else:
+    elif kind == "int_taps":
         plan.write_text(json.dumps({**json.loads(text),
                                     "taps": int(rng.integers(2, 17))}))
+    else:
+        plan.write_text(json.dumps({**json.loads(text),
+                                    "amplitude": str(rng.normal())}))
     sim = write_config(tmp_path / "sim.json",
                        {"seed": 1, "horizon": 60, "prbs": str(plan)})
     assert "plan.json" in _assert_one_line_exit_one(
@@ -411,7 +417,8 @@ def test_corrupt_plan_exits_one(tmp_path, capsys, kind, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["confusion_token", "confusion_binary",
-                                  "summary_cut", "summary_no_fdr"])
+                                  "summary_cut", "summary_no_fdr",
+                                  "summary_str_far"])
 def test_corrupt_report_exits_one(tmp_path, capsys, kind, seed):
     rng = np.random.default_rng([seed, len(kind)])
     rep = tmp_path / "rep"
@@ -428,10 +435,13 @@ def test_corrupt_report_exits_one(tmp_path, capsys, kind, seed):
         path.write_bytes(_junk_bytes(rng))
     elif part == "cut":
         path.write_text(_cut_text(path.read_text(), rng))
-    else:
+    elif part == "no_fdr":
         summary = json.loads(path.read_text())
         del summary["fdr_by_class"]
         path.write_text(json.dumps(summary))
+    else:
+        summary = json.loads(path.read_text())
+        path.write_text(json.dumps({**summary, "far": str(rng.random())}))
     cfg = write_config(tmp_path / "r.json", {"seed": 0, "report": str(rep)})
     assert path.name in _assert_one_line_exit_one(
         ["report", "--config", cfg], capsys)
@@ -563,3 +573,176 @@ def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
     err = _assert_one_line_exit_one(
         argv + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
     assert f"config key {key!r} must be a path string" in err
+
+
+def _argv(command, tmp_path):
+    out = ["--out", str(tmp_path / "out")]
+    return {"simulate": ["simulate"] + out, "ingest": ["ingest"] + out,
+            "train": ["train", "--mode", "flat"] + out, "tune": ["tune"] + out,
+            "prbs": ["prbs", "design"] + out}[command]
+
+
+def _node_case(tmp_path, table, node):
+    """(command, config) that has the node named by table read with the
+    given entries."""
+    surr = {"seed": 1, "surrogate": TINY_SURROGATE}
+    sim = {"seed": 1, "horizon": 60}
+    if table == "CONFIG":
+        return "simulate", {**sim, **node}
+    if table == "PLANT":
+        return "simulate", {**sim, "plant": node}
+    if table == "FAULT":
+        return "simulate", {**sim, "fault": {"kind": "step", "target": 0,
+                                             **node}}
+    if table == "LIBRARY_FAULT":
+        return "simulate", {**sim, "fault": {"class": 1, **node}}
+    if table == "PLAN_REF":
+        return "simulate", {**sim, "prbs": node}
+    if table == "PRBS":
+        return "prbs", {"seed": 0, "prbs": {"tau_ol": 1800.0,
+                                            "tau_cl": 1030.0, **node}}
+    if table == "SPLIT":
+        return "ingest", _ingest_config(tmp_path, split={"train": 1.0,
+                                                         **node})
+    if table == "SURROGATE":
+        return "train", {"seed": 1, "surrogate": {**TINY_SURROGATE, **node}}
+    if table == "MODEL_FIELDS":
+        return "train", {**surr, "model": node}
+    assert table == "SEARCH_SPACE"
+    return "tune", {**surr, "search_space": node}
+
+
+# Values of another kind than the table's, one for each wrong sort that
+# applies: true and 1.5 are no integers, and true is no number either.
+_WRONG_VALUES = {
+    INTEGER: ["1", True, 1.5],
+    NUMBER: ["x", True, None],
+    STRING: [1, ["x"]],
+    PATH: [0, True, ["x"]],
+    BOOL: ["false", 1],
+    OBJECT: ["x", ["x"]],
+    STRING_OR_OBJECT: [True, 1.5, ["x"]],
+    LOOP: [1.5, True, ["x"]],
+    INTEGERS: ["x", ["x"], [True], [1.5]],
+    NUMBERS: ["x", ["x"], [True]],
+    MATRIX: ["x", ["x"], [["x"]], [[1.0], [1.0, 2.0]]],
+}
+
+
+@pytest.mark.parametrize("table", ["CONFIG", "PLANT", "FAULT",
+                                   "LIBRARY_FAULT", "PLAN_REF", "PRBS",
+                                   "SPLIT", "SURROGATE", "MODEL_FIELDS",
+                                   "SEARCH_SPACE"])
+def test_every_key_of_every_table_rejects_wrong_kinds(tmp_path, capsys,
+                                                      table):
+    for key, kind in getattr(fddkit.cli, table).items():
+        # a search_space entry lists candidates of the model key's kind
+        wrongs = ([[], "x", ["x"], [True]] if table == "SEARCH_SPACE"
+                  else _WRONG_VALUES[kind])
+        for value in wrongs:
+            command, cfg = _node_case(tmp_path, table, {key: value})
+            err = _assert_one_line_exit_one(
+                _argv(command, tmp_path)
+                + ["--config", write_config(tmp_path / "c.json", cfg)],
+                capsys)
+            assert f"config key {key!r}" in err, (table, key, value, err)
+
+
+def _wrong_like(value):
+    """Values of another JSON kind than value."""
+    if isinstance(value, bool):
+        return ["false", 1]
+    if isinstance(value, int):
+        return ["1", True, 1.5]
+    if isinstance(value, float):
+        return ["x", True]
+    if isinstance(value, str):
+        return [1.5, ["x"]]
+    return ["x", ["x"]]   # a list or an object
+
+
+@pytest.mark.parametrize("name", ["plan.json", "summary.json", "config.json",
+                                  "scaler.json"])
+def test_saved_file_with_a_wrong_typed_value_exits_one(tmp_path, capsys,
+                                                       name):
+    if name == "plan.json":
+        cfg = write_config(tmp_path / "p.json", {"seed": 0, "prbs": "default"})
+        assert main(["prbs", "design", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        argv = _argv("simulate", tmp_path)
+        cfg = {"seed": 1, "horizon": 60, "prbs": str(tmp_path / name)}
+    elif name == "summary.json":
+        save_report(build_report(confusion([0, 1, 2, 0], [0, 1, 2, 1], 3)),
+                    tmp_path)
+        argv, cfg = ["report"], {"seed": 0, "report": str(tmp_path)}
+    else:
+        _saved_model(tmp_path)
+        argv = ["evaluate", "--out", str(tmp_path / "rep")]
+        cfg = {"seed": 2, "surrogate": TINY_SURROGATE, "model": str(tmp_path)}
+    argv += ["--config", write_config(tmp_path / "c.json", cfg)]
+    path = tmp_path / name
+    good = json.loads(path.read_text())
+    for key, value in good.items():
+        for wrong in _wrong_like(value):
+            path.write_text(json.dumps({**good, key: wrong}))
+            err = _assert_one_line_exit_one(argv, capsys)
+            assert name in err and repr(key) in err, (key, wrong, err)
+
+
+_MISREADS = {
+    # each of these exited 0 on a value read as something else
+    "encoder_string": ("train", {"model": {"encoder": "12"}}, "encoder"),
+    "contiguous_string": ("ingest", {"contiguous": "false"}, "contiguous"),
+    "horizon_string": ("simulate", {"horizon": "50"}, "horizon"),
+    "budget_string": ("tune", {"budget": "2"}, "budget"),
+    "burst_len_true": ("prbs", {"prbs": {"tau_ol": 1800.0, "tau_cl": 1030.0,
+                                         "burst_len": True}}, "burst_len"),
+    "library_onset_float": ("simulate", {"fault": {"class": 2, "onset": 1.5}},
+                            "onset"),
+    "fault_onset_float": ("simulate", {"fault": {"kind": "step", "target": 0,
+                                                 "onset": 1.5}}, "onset"),
+}
+
+_TRACEBACKS = {
+    # each of these ended in a Python traceback
+    "surrogate_horizon": ("train", {"surrogate": {**TINY_SURROGATE,
+                                                  "horizon": "x"}}, "horizon"),
+    "model_epochs": ("train", {"model": {"epochs": "3"}}, "epochs"),
+    "model_learning_rate": ("train", {"model": {"learning_rate": "0.1"}},
+                            "learning_rate"),
+    "surrogate_classes": ("train", {"surrogate": {**TINY_SURROGATE,
+                                                  "classes": "01"}},
+                          "classes"),
+    "plant_kp": ("simulate", {"plant": {"kp": 3}}, "kp"),
+    "plant_ragged_a": ("simulate", {"plant": {"a": [[0.5, 0.0], [0.0]]}},
+                       "a"),
+    "plant_t_s": ("simulate", {"plant": {"t_s": "x"}}, "t_s"),
+    "prbs_t_s": ("prbs", {"prbs": {"tau_ol": 1800.0, "tau_cl": 1030.0,
+                                   "t_s": "x"}}, "t_s"),
+    "library_class": ("simulate", {"fault": {"class": "x"}}, "class"),
+    "fault_without_kind": ("simulate", {"fault": {"magnitude": 1.0}}, "kind"),
+    "fault_without_target": ("simulate", {"fault": {"kind": "step"}},
+                             "target"),
+    "prbs_tau_ol": ("prbs", {"prbs": {"tau_ol": "x", "tau_cl": 1030.0}},
+                    "tau_ol"),
+    "incipient_integer": ("train", {"incipient": 3}, "incipient"),
+    "search_space_empty": ("tune", {"search_space": {"learning_rate": []}},
+                           "learning_rate"),
+    "search_space_number": ("tune", {"search_space": {"learning_rate": 0.1}},
+                            "learning_rate"),
+    "search_space_string": ("tune", {"search_space": {"learning_rate": ["2"]}},
+                            "learning_rate"),
+}
+
+
+@pytest.mark.parametrize("case", [*_MISREADS, *_TRACEBACKS])
+def test_wrong_typed_value_exits_one_naming_the_key(tmp_path, capsys, case):
+    command, entries, key = {**_MISREADS, **_TRACEBACKS}[case]
+    base = ({"seed": 1, "horizon": 60} if command == "simulate"
+            else {"seed": 0} if command == "prbs"
+            else _ingest_config(tmp_path) if command == "ingest"
+            else {"seed": 1, "surrogate": TINY_SURROGATE})
+    cfg = write_config(tmp_path / "c.json", {**base, **entries})
+    err = _assert_one_line_exit_one(
+        _argv(command, tmp_path) + ["--config", cfg], capsys)
+    assert repr(key) in err

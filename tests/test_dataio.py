@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fddkit.dataio import (Scaler, SplitSpec, WindowBatch, concat_batches,
-                           load_labels, load_matrix, make_windows, save_labels,
-                           save_matrix, split)
+from fddkit.dataio import (BOOL, INTEGER, INTEGERS, MATRIX, NUMBER, Scaler,
+                           SplitSpec, WindowBatch, concat_batches,
+                           load_labels, load_matrix, make_windows,
+                           read_fields, save_labels, save_matrix, split)
 from fddkit.errors import (ConfigError, DimensionError, FormatError,
                            SplitError)
 
@@ -142,6 +143,25 @@ def test_scaler_load_rejects_malformed_files(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError, match="scaler.json"):
         Scaler.load(path)
+
+
+def test_read_fields_converts_present_keys_and_names_the_key():
+    table = {"n": INTEGER, "x": NUMBER, "on": BOOL, "ks": INTEGERS,
+             "m": MATRIX}
+    got = read_fields({"n": 3, "x": 2, "ks": [1, 2], "m": [[1, 2], [3, 4]]},
+                      table, "node", ConfigError)
+    assert got == {"n": 3, "x": 2.0, "ks": (1, 2),
+                   "m": ((1.0, 2.0), (3.0, 4.0))}
+    assert type(got["x"]) is float and type(got["m"][0][0]) is float
+    for key, value in [("n", True), ("n", 1.5), ("x", "2"),
+                       ("x", float("nan")), ("x", 10 ** 400), ("on", 0),
+                       ("ks", [True]), ("m", [[1.0], [1.0, 2.0]])]:
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            read_fields({key: value}, table, "node", ConfigError)
+    with pytest.raises(FormatError, match="^f.json key 'n' is required$"):
+        read_fields({}, table, "f.json", FormatError, required=["n"])
+    with pytest.raises(FormatError, match=r"^unknown f.json keys: \['y'\]$"):
+        read_fields({"y": 1}, table, "f.json", FormatError)
 
 
 def test_relabel_keeps_windows_and_provenance():
