@@ -10,8 +10,8 @@ about a minute.
 
 from fddkit.metrics import format_report
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
-                             evaluate_hierarchical, evaluate_classifier,
-                             fit_flat, fit_hierarchical, level2_accuracies,
+                             evaluate_classifier, fit_flat, fit_hierarchical,
+                             hierarchical_report, level2_accuracies,
                              level2_scores, scenario_batch)
 
 spec = ExperimentSpec()
@@ -33,8 +33,11 @@ print(f"  mean detection, slow faults:    "
 
 plan = default_excitation(spec.plant_factory(seed=0))
 hmodel = fit_hierarchical(seed, spec, prbs=plan)
-quiet = evaluate_hierarchical(hmodel, seed, spec)
-excited = evaluate_hierarchical(hmodel, seed, spec, prbs=plan)
+# level 1 routes on the quiet test records built above; level 2 reads
+# them again or their probed twins
+quiet = hierarchical_report(hmodel, test_b, test_b)
+excited = hierarchical_report(hmodel, test_b,
+                              scenario_batch(seed, "test", spec, prbs=plan))
 
 for name, report in (("quiet", quiet), ("probed routing", excited)):
     inc = [report.fdr_by_class[c] for c in incipient]

@@ -21,13 +21,12 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      make_windows, read_fields, read_json, save_labels,
                      save_matrix, split)
 from .errors import ConfigError, FddError, FormatError, NumericError
-from .hierarchy import HierarchicalModel, merged_subset, regroup_labels
-from .metrics import (build_report, confusion, format_report, load_report,
-                      save_report)
+from .hierarchy import HierarchicalModel, LabelMap, merged_subset
+from .metrics import format_report, load_report, save_report
 from .model import MODEL_FIELDS, load_model, save_model
 from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
-                       fit_classifier, infer_with_twins, scenario_batch,
+                       fit_classifier, hierarchical_report, scenario_batch,
                        tune_classifier)
 from .plant import (FaultSpec, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
@@ -257,7 +256,6 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     series count, probing plan) and relabelling as the training split.
     """
     spec = _spec_from(cfg)
-    incipient = cfg.get("incipient", spec.incipient)
     if "archive" in cfg:
         archive = cfg["archive"]
         train_b = _archive_batch(archive, "train")
@@ -265,6 +263,13 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
             raise ConfigError(f"no train split under {archive}")
         val_b = _archive_batch(archive, "val")
         n_classes = cfg.get("n_classes", int(train_b.labels.max()) + 1)
+        # level 2 keeps only the merged group's windows, so a label
+        # outside the alphabet would be dropped there, not reported
+        for b in (train_b, val_b):
+            if b is not None and np.any((b.labels < 0)
+                                        | (b.labels >= n_classes)):
+                raise ConfigError(
+                    f"archive labels outside the {n_classes} classes")
     else:
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         level2 = mode == "level2"
@@ -272,15 +277,14 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
         def build(split):
             return scenario_batch(
                 seed, split, spec,
-                classes=spec.level2_classes if level2 else None,
+                classes=spec.label_map.level2_classes if level2 else None,
                 prbs=plan if level2 else None)
         train_b = build("train")
         val_b = build("val") if surrogate_val else None
         n_classes = max(spec.classes) + 1
     if mode == "flat":
         return train_b, val_b, n_classes, spec
-    _, lmap = regroup_labels(train_b.labels, incipient,
-                             n_classes=n_classes)
+    lmap = LabelMap(cfg.get("incipient", spec.incipient), n_classes)
     if mode == "level1":
         relabel, n_out = lmap.to_level1, lmap.n_level1
     else:
@@ -361,28 +365,26 @@ def cmd_evaluate(args):
                        else ("model",), model=PATH)
     seed = cfg["seed"]
     spec = _spec_from(cfg)
-    quiet = _test_data(cfg, seed, spec)
-    probed = (_test_data(cfg, seed, spec, probed=True)
-              if args.prbs == "on" else quiet)
-    metadata = {"seed": seed, "horizon": quiet.horizon,
+    probed = args.prbs == "on"
+    test_b = _test_data(cfg, seed, spec, probed=probed)
+    metadata = {"seed": seed, "horizon": test_b.horizon,
                 "dataset": cfg.get("archive", "surrogate"),
                 "prbs": args.prbs}
     if args.hierarchical:
-        level1 = load_model(Path(cfg["level1"]))
-        level2 = load_model(Path(cfg["level2"]))
-        incipient = cfg.get("incipient", spec.incipient)
-        n_classes = cfg.get("n_classes", max(spec.classes) + 1)
-        _, lmap = regroup_labels(np.zeros(1, dtype=np.int64), incipient,
-                                 n_classes=n_classes)
+        # level 1 routes on the quiet split; under --prbs on, test_b is
+        # its probed twin and the quiet split, which the flat model never
+        # reads, is built here
+        quiet = _test_data(cfg, seed, spec) if probed else test_b
+        lmap = LabelMap(cfg.get("incipient", spec.incipient),
+                        cfg.get("n_classes", max(spec.classes) + 1))
+        hmodel = HierarchicalModel(load_model(Path(cfg["level1"])),
+                                   load_model(Path(cfg["level2"])), lmap)
         metadata["model"] = f"{cfg['level1']}+{cfg['level2']}"
-        preds = infer_with_twins(HierarchicalModel(level1, level2, lmap),
-                                 quiet, probed)
-        cm = confusion(quiet.labels, preds, lmap.n_original)
-        report = build_report(cm, normal=0, metadata=metadata)
+        report = hierarchical_report(hmodel, quiet, test_b, metadata)
     else:
         model = load_model(Path(cfg["model"]))
         metadata["model"] = cfg["model"]
-        report = evaluate_classifier(model, probed, metadata=metadata)
+        report = evaluate_classifier(model, test_b, metadata=metadata)
     out = _out_dir(args)
     save_report(report, out)
     print(format_report(report), end="")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import build_report, confusion
 from .model import TrainedModel
 
 
@@ -21,16 +20,36 @@ from .model import TrainedModel
 class LabelMap:
     """Bidirectional bookkeeping between original and per-level labels.
 
-    level1_classes[k] is the original class behind level-1 label k, with
-    the convention that entry 0 is the merged group and has no single
-    original class (stored as -1). level2_classes[k] is the original
-    class behind level-2 label k; entry 0 is always the normal class.
+    Built from the incipient classes and the size of the original
+    alphabet. level1_classes[k] is the original class behind level-1
+    label k: entry 0 is the merged group and has no single original
+    class (stored as -1), and the other classes follow it in order.
+    level2_classes[k] is the original class behind level-2 label k:
+    the normal class, then the incipient classes in ascending order.
     """
 
     incipient: tuple
-    level1_classes: tuple
-    level2_classes: tuple
     n_original: int
+
+    def __post_init__(self):
+        incipient = tuple(sorted(set(int(c) for c in self.incipient)))
+        if 0 in incipient:
+            raise ConfigError("the normal class is merged implicitly")
+        if incipient and (incipient[0] < 1
+                          or incipient[-1] >= self.n_original):
+            raise ConfigError(
+                f"incipient classes {list(incipient)} outside "
+                f"[1, {self.n_original})")
+        object.__setattr__(self, "incipient", incipient)
+
+    @property
+    def level1_classes(self):
+        return (-1, *(c for c in range(1, self.n_original)
+                      if c not in self.incipient))
+
+    @property
+    def level2_classes(self):
+        return (0, *self.incipient)
 
     @property
     def n_level1(self):
@@ -80,42 +99,12 @@ class LabelMap:
         return table[np.asarray(labels)]
 
 
-def regroup_labels(labels, incipient_classes, n_classes):
-    """Merge normal and incipient classes for level-1 training.
-
-    Returns the relabeled array plus the LabelMap over the n_classes
-    original classes that can undo the renumbering. Non-merged classes
-    keep their relative order but are packed densely after the merged
-    group at index 0.
-    """
-    labels = np.asarray(labels)
-    incipient = tuple(sorted(set(int(c) for c in incipient_classes)))
-    if 0 in incipient:
-        raise ConfigError("the normal class is merged implicitly")
-    if incipient and max(incipient) >= n_classes:
-        raise ConfigError("incipient class outside the label alphabet")
-    rest = [c for c in range(1, n_classes) if c not in incipient]
-    label_map = LabelMap(
-        incipient=incipient,
-        level1_classes=(-1, *rest),
-        level2_classes=(0, *incipient),
-        n_original=n_classes,
-    )
-    return label_map.to_level1(labels), label_map
-
-
 def merged_subset(batch, label_map):
     """The rows of batch whose labels belong to the merged group,
     relabeled into the level-2 alphabet."""
     mask = np.array([label_map.is_merged(int(v)) for v in batch.labels])
     sub = batch.take(np.flatnonzero(mask))
     return sub.relabel(label_map.to_level2(sub.labels))
-
-
-def _scaled(model, windows):
-    if model.scaler is None:
-        return windows
-    return model.scaler.apply(windows)
 
 
 @dataclass
@@ -138,18 +127,11 @@ class HierarchicalModel:
                   else np.asarray(probed, dtype=np.float64))
         if probed.shape != windows.shape:
             raise ConfigError("twin batches do not align")
-        pred1 = self.level1.predict(_scaled(self.level1, windows))
+        pred1 = self.level1.predict(windows)
         out = self.label_map.from_level1(pred1)
         routed = np.flatnonzero(pred1 == 0)
         if routed.size:
-            pred2 = self.level2.predict(
-                _scaled(self.level2, probed[routed]))
+            pred2 = self.level2.predict(probed[routed])
             out[routed] = self.label_map.from_level2(pred2)
         return out
 
-
-def combined_metrics(model, batch, metadata=None):
-    """Evaluate a HierarchicalModel over the full original alphabet."""
-    preds = model.infer_batch(batch.windows)
-    cm = confusion(batch.labels, preds, model.label_map.n_original)
-    return build_report(cm, normal=0, metadata=metadata)

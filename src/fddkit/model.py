@@ -216,8 +216,9 @@ def batch_accuracy(params, batch):
 
 @dataclass
 class TrainedModel:
-    """Frozen training outcome. predict expects standardized windows; the
-    scaler is carried along so callers can standardize consistently."""
+    """Frozen training outcome. The parameters were fitted on windows
+    standardized by scaler (None: used as given), and predict applies
+    that scaler itself, so callers pass raw windows."""
 
     config: ModelConfig
     params: ParamSet
@@ -225,13 +226,11 @@ class TrainedModel:
     scaler: Scaler = None
 
     def predict(self, batch):
-        return predict(self.params, batch)
-
-    def predict_proba(self, batch):
-        return predict_proba(self.params, batch)
-
-    def accuracy(self, batch):
-        return batch_accuracy(self.params, batch)
+        """Class indices for raw windows, an array or a WindowBatch."""
+        windows, _ = _as_windows(batch)
+        if self.scaler is not None:
+            windows = self.scaler.apply(windows)
+        return predict(self.params, windows)
 
 
 def train(train_batch, val_batch, config, scaler=None):
@@ -279,7 +278,7 @@ def train(train_batch, val_batch, config, scaler=None):
     return TrainedModel(config, final, history, scaler)
 
 
-def tune(train_batch, val_batch, search_space, budget, base, scaler=None,
+def tune(train_batch, val_batch, search_space, budget, base,
          return_trials=False):
     """Successive-halving hyperparameter search around a base config.
 
@@ -310,7 +309,7 @@ def tune(train_batch, val_batch, search_space, budget, base, scaler=None,
         scored = []
         for j in alive:
             cfg = replace(trials[j], epochs=stage)
-            model = train(train_batch, val_batch, cfg, scaler=scaler)
+            model = train(train_batch, val_batch, cfg)
             # train returns its best validation epoch's snapshot, so that
             # epoch's recorded accuracy is the model's: no second pass
             acc = max(row["val_accuracy"] for row in model.history)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataio import Scaler, concat_batches, make_windows
 from .errors import ConfigError
-from .hierarchy import HierarchicalModel, regroup_labels
+from .hierarchy import HierarchicalModel, LabelMap
 from .metrics import build_report, confusion
 from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
 from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
@@ -68,8 +68,9 @@ class ExperimentSpec:
             raise ConfigError("the normal class must be part of the recipe")
 
     @property
-    def level2_classes(self):
-        return (0, *sorted(self.incipient))
+    def label_map(self):
+        """The two level alphabets over the dense classes 0..max."""
+        return LabelMap(self.incipient, max(self.classes) + 1)
 
     def fault_library(self):
         return default_fault_library(onset=self.onset)
@@ -135,14 +136,12 @@ def tune_classifier(train_batch, val_batch, config, search_space=None,
     scaled_train, scaler = _standardized(train_batch)
     space = DEFAULT_SEARCH_SPACE if search_space is None else search_space
     scaled_val = val_batch.scaled(scaler)
-    best = tune(scaled_train, scaled_val, space, budget, config,
-                scaler=scaler)
+    best = tune(scaled_train, scaled_val, space, budget, config)
     return train(scaled_train, scaled_val, best, scaler=scaler)
 
 
 def evaluate_classifier(model, batch, metadata=None):
-    scaled = batch.scaled(model.scaler) if model.scaler is not None else batch
-    preds = model.predict(scaled)
+    preds = model.predict(batch)
     cm = confusion(batch.labels, preds, model.config.n_classes)
     return build_report(cm, normal=0, metadata=metadata)
 
@@ -162,33 +161,26 @@ def _fit_flat(seed, spec, scaled_train, scaler):
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     """Level-1 router on quiet data; level-2 specialist on the merged
     group, excited when a plan is given."""
-    level1, lmap = _fit_level1(
+    level1 = _fit_level1(
         seed, spec, *_standardized(scenario_batch(seed, "train", spec)))
-    return HierarchicalModel(level1, _fit_level2(seed, spec, prbs), lmap)
+    return HierarchicalModel(level1, _fit_level2(seed, spec, prbs),
+                             spec.label_map)
 
 
 def _fit_level1(seed, spec, scaled_train, scaler):
-    """The level-1 router on the standardized quiet training split, and
-    the label map of its merged group."""
-    merged, lmap = regroup_labels(scaled_train.labels, spec.incipient,
-                                  n_classes=max(spec.classes) + 1)
+    """The level-1 router on the standardized quiet training split."""
+    lmap = spec.label_map
     cfg1 = classifier_config(lmap.n_level1, seed, spec,
                              n_features=scaled_train.n_features)
-    level1 = train(scaled_train.relabel(merged), None, cfg1, scaler=scaler)
-    return level1, lmap
-
-
-def _level2_map(spec):
-    _, lmap = regroup_labels(np.array(spec.level2_classes), spec.incipient,
-                             n_classes=max(spec.classes) + 1)
-    return lmap
+    return train(scaled_train.relabel(lmap.to_level1(scaled_train.labels)),
+                 None, cfg1, scaler=scaler)
 
 
 def _fit_level2(seed, spec, prbs):
     """The level-2 specialist on the merged group's training split."""
-    lmap = _level2_map(spec)
+    lmap = spec.label_map
     sub_train = scenario_batch(seed, "train", spec,
-                               classes=spec.level2_classes, prbs=prbs)
+                               classes=lmap.level2_classes, prbs=prbs)
     cfg2 = classifier_config(lmap.n_level2, seed, spec,
                              n_features=sub_train.n_features)
     return fit_classifier(sub_train.relabel(lmap.to_level2(sub_train.labels)),
@@ -215,13 +207,14 @@ def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,
     quiet = scenario_batch(seed, "test", spec)
     probed = (quiet if prbs is None
               else scenario_batch(seed, "test", spec, prbs=prbs))
-    return _hierarchical_report(hmodel, quiet, probed, metadata)
+    return hierarchical_report(hmodel, quiet, probed, metadata)
 
 
-def _hierarchical_report(hmodel, quiet_batch, excited_batch, metadata=None):
-    """Combined original-alphabet report of infer_with_twins on built
-    twin batches."""
-    preds = infer_with_twins(hmodel, quiet_batch, excited_batch)
+def hierarchical_report(hmodel, quiet_batch, probed_batch, metadata=None):
+    """Original-alphabet report of a two-level model that routes on
+    quiet_batch and re-examines routed windows on probed_batch, its
+    sample-aligned twin (pass quiet_batch twice for quiet routing)."""
+    preds = infer_with_twins(hmodel, quiet_batch, probed_batch)
     cm = confusion(quiet_batch.labels, preds, hmodel.label_map.n_original)
     return build_report(cm, normal=0, metadata=metadata)
 
@@ -229,10 +222,10 @@ def _hierarchical_report(hmodel, quiet_batch, excited_batch, metadata=None):
 def level2_scores(model, seed, spec=ExperimentSpec(), prbs=None):
     """Per-class accuracy of a level-2 specialist on the merged group's
     test split, keyed by original class id."""
-    lmap = _level2_map(spec)
+    lmap = spec.label_map
     test_b = scenario_batch(seed, "test", spec,
-                            classes=spec.level2_classes, prbs=prbs)
-    preds = model.predict(test_b.scaled(model.scaler))
+                            classes=lmap.level2_classes, prbs=prbs)
+    preds = model.predict(test_b)
     truth = lmap.to_level2(test_b.labels)
     return {orig: float(np.mean(preds[truth == k] == k))
             for k, orig in enumerate(lmap.level2_classes)}
@@ -286,10 +279,10 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         test_b = scenario_batch(seed, "test", spec)
         flat = _fit_flat(seed, spec, scaled_train, scaler)
         flat_report = evaluate_classifier(flat, test_b)
-        level1, lmap = _fit_level1(seed, spec, scaled_train, scaler)
+        level1 = _fit_level1(seed, spec, scaled_train, scaler)
         level2 = _fit_level2(seed, spec, None)
-        hier_report = _hierarchical_report(
-            HierarchicalModel(level1, level2, lmap), test_b, test_b)
+        hier_report = hierarchical_report(
+            HierarchicalModel(level1, level2, spec.label_map), test_b, test_b)
         # the quiet specialist of the two-level model is the one scored
         gain = excitation_gain(seed, spec, plan, level2)
         rows.append({

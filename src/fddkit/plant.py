@@ -50,7 +50,11 @@ class PlantConfig:
         if not (len(self.controlled) == len(self.setpoints) == len(self.kp)
                 == len(self.ki) == len(self.setpoint_ranges) == n_u):
             raise DimensionError("need one loop definition per actuator")
-        if self.noise_std.shape != (self.c.shape[0],):
+        n_y = self.c.shape[0]
+        if any(not 0 <= k < n_y for k in self.controlled):
+            raise ConfigError(f"controlled sensor indices "
+                              f"{list(self.controlled)} outside [0, {n_y})")
+        if self.noise_std.shape != (n_y,):
             raise DimensionError("need one noise std per sensor")
         if np.any(self.noise_std < 0):
             raise ConfigError("noise stds must be nonnegative")
@@ -198,6 +202,11 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
     """
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
+    if fault is not None:
+        n = plant.n_outputs if fault.site == "sensor" else plant.n_loops
+        if not 0 <= fault.target < n:
+            raise ConfigError(f"fault target {fault.target} outside the "
+                              f"{fault.site} indices [0, {n})")
     x, u_star = equilibrium(plant)
     x = x.copy()
     n_y, n_u = plant.n_outputs, plant.n_loops

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 import fddkit.cli
+import fddkit.pipeline
 from fddkit.cli import main
 from fddkit.dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                            NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT,
                            Scaler, load_labels, load_matrix, save_labels,
                            save_matrix)
+from fddkit.hierarchy import LabelMap
 from fddkit.metrics import build_report, confusion, save_report
-from fddkit.model import ModelConfig, TrainedModel, build_params, save_model
+from fddkit.model import (ModelConfig, TrainedModel, build_params, load_model,
+                          save_model)
+from fddkit.pipeline import (default_excitation, evaluate_classifier,
+                             fit_hierarchical, hierarchical_report,
+                             scenario_batch)
+from fddkit.plant import default_plant
 
 TINY_SURROGATE = {
     "classes": [0, 1, 2],
@@ -746,3 +753,121 @@ def test_wrong_typed_value_exits_one_naming_the_key(tmp_path, capsys, case):
     err = _assert_one_line_exit_one(
         _argv(command, tmp_path) + ["--config", cfg], capsys)
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("entries", [
+    {"plant": {"controlled": [0, 99]}},
+    {"plant": {"controlled": [0, -1]}},
+    {"fault": {"kind": "step", "target": 99}},
+    {"fault": {"kind": "stiction", "target": 5}},
+], ids=["controlled_99", "controlled_negative", "sensor_target_99",
+        "stiction_target_5"])
+def test_plant_or_fault_index_out_of_range_exits_one(tmp_path, capsys,
+                                                      entries):
+    # a negative index would silently regulate the last sensor, the
+    # others would index past the plant's channels
+    cfg = write_config(tmp_path / "sim.json",
+                       {"seed": 1, "horizon": 60, **entries})
+    _assert_one_line_exit_one(
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "run")], capsys)
+
+
+def test_negative_incipient_class_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "l1.json",
+                       {"seed": 1, "surrogate": TINY_SURROGATE,
+                        "incipient": [-1]})
+    err = _assert_one_line_exit_one(
+        ["train", "--config", cfg, "--out", str(tmp_path / "l1"),
+         "--mode", "level1"], capsys)
+    assert "incipient" in err
+
+
+@pytest.mark.parametrize("mode", ["flat", "level1", "level2"])
+@pytest.mark.parametrize("part", ["train", "val"])
+def test_archive_label_outside_n_classes_exits_one(tmp_path, capsys, mode,
+                                                   part):
+    # checked before training: level 2 would silently drop a window with
+    # such a label, and flat training would index past the class count
+    arc = tmp_path / "arc"
+    arc.mkdir()
+    rng = np.random.default_rng(0)
+    for name in ("train", "val"):
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        if name == part:
+            labels[-1] = 3
+        np.save(arc / f"{name}_windows.npy", rng.normal(size=(6, 5, 2)))
+        np.save(arc / f"{name}_labels.npy", labels)
+    cfg = write_config(tmp_path / "train.json", {
+        "seed": 1, "archive": str(arc), "n_classes": 3, "incipient": [2],
+        "model": {"encoder": [2], "decoder": [2], "epochs": 1}})
+    err = _assert_one_line_exit_one(
+        ["train", "--config", cfg, "--out", str(tmp_path / "m"),
+         "--mode", mode], capsys)
+    assert "3 classes" in err
+
+
+def test_flat_probed_evaluate_simulates_the_probed_split_only(tmp_path,
+                                                              monkeypatch):
+    model_dir = _saved_model(tmp_path / "model")
+    cfg = write_config(tmp_path / "eval.json",
+                       {"seed": 2, "surrogate": TINY_SURROGATE,
+                        "model": str(model_dir)})
+    runs = []
+    real = fddkit.pipeline.simulate_scenario
+
+    def counting(plant, **kwargs):
+        runs.append(kwargs["prbs"] is not None)
+        return real(plant, **kwargs)
+
+    monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", counting)
+    rep = tmp_path / "rep"
+    assert main(["evaluate", "--config", cfg, "--out", str(rep),
+                 "--prbs", "on"]) == 0
+    monkeypatch.undo()
+    # one probed run per class of the 3-class recipe, no quiet twin
+    assert runs == [True] * 3
+
+    spec = fddkit.cli._spec_from({"surrogate": TINY_SURROGATE})
+    probed = scenario_batch(2, "test", spec,
+                            prbs=default_excitation(default_plant()))
+    expect = evaluate_classifier(
+        load_model(model_dir), probed,
+        metadata={"seed": 2, "horizon": probed.horizon,
+                  "dataset": "surrogate", "prbs": "on",
+                  "model": str(model_dir)})
+    save_report(expect, tmp_path / "expect")
+    for name in ("summary.json", "report.txt", "confusion.txt"):
+        assert (rep / name).read_bytes() == \
+            (tmp_path / "expect" / name).read_bytes()
+
+
+@pytest.mark.parametrize("prbs", ["off", "on"])
+def test_hierarchical_evaluate_writes_the_hierarchical_report(tmp_path, prbs):
+    surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
+            "incipient": [3, 11]}
+    spec = fddkit.cli._spec_from({"surrogate": surr})
+    plan = default_excitation(default_plant())
+    hmodel = fit_hierarchical(4, spec, prbs=plan)
+    l1, l2 = tmp_path / "l1", tmp_path / "l2"
+    save_model(hmodel.level1, l1)
+    save_model(hmodel.level2, l2)
+    cfg = write_config(tmp_path / "ev.json",
+                       {"seed": 4, "surrogate": surr, "level1": str(l1),
+                        "level2": str(l2)})
+    rep = tmp_path / "rep"
+    assert main(["evaluate", "--config", cfg, "--out", str(rep),
+                 "--hierarchical", "--prbs", prbs]) == 0
+
+    quiet = scenario_batch(4, "test", spec)
+    probed = (scenario_batch(4, "test", spec, prbs=plan) if prbs == "on"
+              else quiet)
+    assert hmodel.label_map == LabelMap((3, 11), 12)
+    expect = hierarchical_report(
+        hmodel, quiet, probed,
+        metadata={"seed": 4, "horizon": quiet.horizon,
+                  "dataset": "surrogate", "prbs": prbs,
+                  "model": f"{l1}+{l2}"})
+    save_report(expect, tmp_path / "expect")
+    for name in ("summary.json", "report.txt", "confusion.txt"):
+        assert (rep / name).read_bytes() == \
+            (tmp_path / "expect" / name).read_bytes()

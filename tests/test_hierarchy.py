@@ -1,29 +1,33 @@
-"""Label regrouping and two-level routing."""
+"""Label regrouping, two-level routing and the two-level report."""
 
 import numpy as np
 import pytest
 
 from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import ConfigError
-from fddkit.hierarchy import (HierarchicalModel, combined_metrics,
-                              merged_subset, regroup_labels)
+from fddkit.hierarchy import HierarchicalModel, LabelMap, merged_subset
 from fddkit.model import ModelConfig, TrainedModel, build_params
+from fddkit.pipeline import hierarchical_report
 
 
 def test_regroup_thirteen_classes():
     labels = np.arange(13)
-    merged, lmap = regroup_labels(labels, (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
+    merged = lmap.to_level1(labels)
     expect = [0, 1, 2, 0, 3, 4, 5, 6, 7, 0, 8, 0, 9]
     assert merged.tolist() == expect
     assert lmap.n_level1 == 10
     assert lmap.level2_classes == (0, 3, 9, 11)
     assert lmap.level1_classes == (-1, 1, 2, 4, 5, 6, 7, 8, 10, 12)
     assert lmap.n_original == 13
+    # the incipient classes may come in any order, with repeats
+    assert LabelMap([11, 3, 9, 3], 13) == lmap
 
 
 def test_regroup_empty_incipient_is_identity():
     labels = np.array([0, 4, 2, 1, 3, 0])
-    merged, lmap = regroup_labels(labels, (), n_classes=5)
+    lmap = LabelMap((), 5)
+    merged = lmap.to_level1(labels)
     assert merged.tolist() == labels.tolist()
     assert lmap.level2_classes == (0,)
 
@@ -31,7 +35,8 @@ def test_regroup_empty_incipient_is_identity():
 def test_regroup_round_trip():
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 13, size=200)
-    merged, lmap = regroup_labels(labels, (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
+    merged = lmap.to_level1(labels)
     for orig, lvl1 in zip(labels, merged):
         if orig in (0, 3, 9, 11):
             assert lvl1 == 0
@@ -42,14 +47,21 @@ def test_regroup_round_trip():
 
 def test_regroup_rejects_bad_sets():
     with pytest.raises(ConfigError):
-        regroup_labels([0, 1], (0,), n_classes=2)
+        LabelMap((0,), 2)
     with pytest.raises(ConfigError):
-        regroup_labels([0, 1], (5,), n_classes=3)
-    _, lmap = regroup_labels([0, 1, 2], (2,), n_classes=3)
+        LabelMap((5,), 3)
+    lmap = LabelMap((2,), 3)
     with pytest.raises(ConfigError):
         lmap.to_level2(np.array([1]))
     with pytest.raises(ConfigError):
         lmap.to_level1(np.array([7]))
+
+
+@pytest.mark.parametrize("incipient", [(-1,), (3, -2), (13,)])
+def test_label_map_rejects_incipient_outside_the_fault_classes(incipient):
+    # a negative class would index the label tables from their end
+    with pytest.raises(ConfigError, match=r"outside \[1, 13\)"):
+        LabelMap(incipient, 13)
 
 
 def _constant_model(n_features, n_classes, horizon, favored, scaler=None):
@@ -73,7 +85,7 @@ def _toy_batch(labels, horizon=4, n_features=2, seed=0):
 
 
 def test_routing_reaches_level2():
-    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
     level1 = _constant_model(2, lmap.n_level1, 4, favored=0)
     level2 = _constant_model(2, lmap.n_level2, 4, favored=2)
     model = HierarchicalModel(level1, level2, lmap)
@@ -86,7 +98,7 @@ def test_routing_reaches_level2():
 
 
 def test_routing_skips_level2_for_plain_faults():
-    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
     level1 = _constant_model(2, lmap.n_level1, 4, favored=3)
     level2 = _constant_model(2, lmap.n_level2, 4, favored=1)
     model = HierarchicalModel(level1, level2, lmap)
@@ -96,7 +108,7 @@ def test_routing_skips_level2_for_plain_faults():
 
 
 def test_per_level_scalers_are_honored():
-    _, lmap = regroup_labels(np.arange(3), (1,), n_classes=3)
+    lmap = LabelMap((1,), 3)
     s1 = Scaler(mean=np.zeros(2), std=np.ones(2))
     s2 = Scaler(mean=np.full(2, 100.0), std=np.full(2, 10.0))
     level1 = _constant_model(2, lmap.n_level1, 4, favored=0, scaler=s1)
@@ -113,7 +125,7 @@ def test_per_level_scalers_are_honored():
 
 
 def test_infer_batch_routes_level2_on_its_own_windows_by_default():
-    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
     cfg1 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
                        n_classes=lmap.n_level1, horizon=4, seed=1)
     cfg2 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
@@ -124,7 +136,7 @@ def test_infer_batch_routes_level2_on_its_own_windows_by_default():
                           Scaler(mean=[-0.5, 1.0], std=[0.5, 2.0]))
     model = HierarchicalModel(level1, level2, lmap)
     w = _toy_batch(np.zeros(64, dtype=int), seed=3).windows
-    routed = level1.predict(level1.scaler.apply(w)) == 0
+    routed = level1.predict(w) == 0
     assert 0 < routed.sum() < len(w)   # both paths are exercised
     np.testing.assert_array_equal(model.infer_batch(w),
                                   model.infer_batch(w, probed=w))
@@ -133,7 +145,7 @@ def test_infer_batch_routes_level2_on_its_own_windows_by_default():
 
 
 def test_merged_subset_filters_and_relabels():
-    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+    lmap = LabelMap((3, 9, 11), 13)
     batch = _toy_batch([0, 1, 3, 9, 11, 5, 0])
     sub = merged_subset(batch, lmap)
     assert sub.labels.tolist() == [0, 1, 2, 3, 0]
@@ -142,14 +154,15 @@ def test_merged_subset_filters_and_relabels():
     np.testing.assert_array_equal(sub.windows[1], batch.windows[2])
 
 
-def test_combined_metrics_full_alphabet():
-    _, lmap = regroup_labels(np.arange(13), (3, 9, 11), n_classes=13)
+def test_hierarchical_report_full_alphabet():
+    lmap = LabelMap((3, 9, 11), 13)
     level1 = _constant_model(2, lmap.n_level1, 4, favored=0)
     level2 = _constant_model(2, lmap.n_level2, 4, favored=0)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 0, 3, 1])
-    report = combined_metrics(model, batch)
+    report = hierarchical_report(model, batch, batch)
     assert report.cm.counts.shape == (13, 13)
     # everything lands on predicted class 0
     assert report.cm.counts[:, 0].sum() == 4
     assert report.far == 0.0
+

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fddkit.dataio import WindowBatch
+from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import (ConfigError, DimensionError,
                            NumericDivergenceError)
 import fddkit.model
-from fddkit.model import (DEFAULT_SEARCH_SPACE, ModelConfig, build_params,
-                          load_model, loss_and_grads, model_forward,
-                          predict, predict_proba, sae_loss, save_model,
-                          train, tune)
+from fddkit.model import (DEFAULT_SEARCH_SPACE, ModelConfig, TrainedModel,
+                          batch_accuracy, build_params, load_model,
+                          loss_and_grads, model_forward, predict,
+                          predict_proba, sae_loss, save_model, train, tune)
 from fddkit.recurrent import finite_diff_grad, max_rel_error
 
 
@@ -207,7 +207,7 @@ def test_train_descends_and_overfits_toy_task():
     cfg = tiny_config(epochs=500, learning_rate=0.05)
     model = train(batch, None, cfg)
     assert model.history[-1]["loss"] < model.history[0]["loss"]
-    assert model.accuracy(batch) == 1.0
+    assert batch_accuracy(model.params, batch) == 1.0
     assert len(model.history) == 500
 
 
@@ -228,7 +228,7 @@ def test_train_returns_best_validation_snapshot():
     cfg = tiny_config(epochs=12, learning_rate=0.08)
     model = train(train_b, val_b, cfg)
     best_hist = max(h["val_accuracy"] for h in model.history)
-    assert model.accuracy(val_b) == best_hist
+    assert batch_accuracy(model.params, val_b) == best_hist
 
 
 def test_train_raises_on_divergence():
@@ -287,7 +287,7 @@ def test_tune_scores_trials_from_training_history(monkeypatch):
         cfg = replace(base, seed=base.seed + rec["trial"],
                       learning_rate=0.05, epochs=rec["stage_epochs"])
         model = train(train_b, val_b, cfg)
-        assert rec["val_accuracy"] == model.accuracy(val_b)
+        assert rec["val_accuracy"] == batch_accuracy(model.params, val_b)
     finals = [rec for rec in log
               if rec["stage_epochs"] == log[-1]["stage_epochs"]]
     winner = min(finals, key=lambda rec: (-rec["val_accuracy"], rec["trial"]))
@@ -327,3 +327,18 @@ def test_model_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert back.history == model.history
     np.testing.assert_array_equal(back.predict(batch), model.predict(batch))
+
+
+@pytest.mark.parametrize("as_batch", [False, True])
+def test_trained_model_predict_applies_its_own_scaler(as_batch):
+    cfg = tiny_config(n_classes=3)
+    scaler = Scaler(mean=[0.5, -1.0, 0.0], std=[2.0, 0.5, 0.1])
+    model = TrainedModel(cfg, build_params(cfg), [], scaler)
+    raw = toy_batch(n_per_class=16, seed=4)
+    expect = predict(model.params, scaler.apply(raw.windows))
+    got = model.predict(raw if as_batch else raw.windows)
+    assert got.tobytes() == expect.tobytes()
+    # the scaler moves some predictions, so it was applied exactly once
+    assert not np.array_equal(expect, predict(model.params, raw.windows))
+    assert not np.array_equal(
+        expect, predict(model.params, scaler.apply(scaler.apply(raw.windows))))

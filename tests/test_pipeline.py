@@ -129,12 +129,11 @@ def test_infer_with_twins_matches_hand_composed_reference():
     probed = scenario_batch(1, "test", SMALL_HIER, prbs=PLAN)
     assert quiet.windows.tobytes() != probed.windows.tobytes()
     l1, l2, lmap = hmodel.level1, hmodel.level2, hmodel.label_map
-    pred1 = l1.predict(l1.scaler.apply(quiet.windows))
+    pred1 = l1.predict(quiet.windows)
     routed = np.flatnonzero(pred1 == 0)
     assert 0 < routed.size < len(quiet)
     expect = lmap.from_level1(pred1)
-    expect[routed] = lmap.from_level2(
-        l2.predict(l2.scaler.apply(probed.windows[routed])))
+    expect[routed] = lmap.from_level2(l2.predict(probed.windows[routed]))
     got = infer_with_twins(hmodel, quiet, probed)
     np.testing.assert_array_equal(got, expect)
     # level 2 read the probed rows: on the quiet rows it answers otherwise
