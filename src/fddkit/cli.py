@@ -271,6 +271,14 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
                 raise ConfigError(
                     f"archive labels outside the {n_classes} classes")
     else:
+        # the recipe decides which classes are simulated for level 2, so
+        # a second incipient list would relabel classes never simulated
+        if "incipient" in cfg and set(cfg["incipient"]) != \
+                set(spec.incipient):
+            raise ConfigError(
+                f"config key 'incipient' {list(cfg['incipient'])} differs "
+                f"from the surrogate recipe's {list(spec.incipient)}; "
+                f"give the incipient classes under 'surrogate'")
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         level2 = mode == "level2"
 

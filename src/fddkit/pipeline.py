@@ -7,6 +7,7 @@ batch built with the same arguments is the sample-aligned twin of its
 quiet counterpart.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,10 +162,12 @@ def _fit_flat(seed, spec, scaled_train, scaler):
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     """Level-1 router on quiet data; level-2 specialist on the merged
     group, excited when a plan is given."""
-    level1 = _fit_level1(
-        seed, spec, *_standardized(scenario_batch(seed, "train", spec)))
-    return HierarchicalModel(level1, _fit_level2(seed, spec, prbs),
-                             spec.label_map)
+    scaled_train, scaler = _standardized(scenario_batch(seed, "train", spec))
+    level1, level2 = _fit_all([
+        (_fit_level1, (seed, spec, scaled_train, scaler)),
+        (_fit_level2, (seed, spec, prbs)),
+    ])
+    return HierarchicalModel(level1, level2, spec.label_map)
 
 
 def _fit_level1(seed, spec, scaled_train, scaler):
@@ -185,6 +188,72 @@ def _fit_level2(seed, spec, prbs):
                              n_features=sub_train.n_features)
     return fit_classifier(sub_train.relabel(lmap.to_level2(sub_train.labels)),
                           cfg2)
+
+
+def _fit_all(jobs):
+    """The models of independent fits, in order; each job is a
+    (function, args) pair.
+
+    The fits run in forked worker processes, one per CPU this process
+    may run on and at most one per job, and in the calling process
+    where CPU affinity is unknown (it exists on Linux only) or gives a
+    single CPU. Each fit is a deterministic function of its arguments,
+    so the models are the same either way. A fit's exception reaches
+    the caller as raised; no worker outlives the call.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else 1, len(jobs))
+    if workers < 2:
+        return [fit(*args) for fit, args in jobs]
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    # Worker w takes jobs w, w + workers, ... . It inherits them with the
+    # rest of this process's memory (a forked process's arguments are
+    # never pickled), sends back its models and exits. A worker that
+    # dies shows as an EOF on its pipe; a Pool would replace it and wait
+    # for its share forever.
+    procs, receivers = [], []
+    models = [None] * len(jobs)
+    try:
+        for w in range(workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fit_share,
+                               args=(jobs[w::workers], sender))
+            proc.start()
+            sender.close()
+            procs.append(proc)
+            receivers.append(receiver)
+        for w, (receiver, proc) in enumerate(zip(receivers, procs)):
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"a fit worker exited with code {proc.exitcode} "
+                    f"before sending its models") from None
+            if not ok:
+                raise result
+            models[w::workers] = result
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in zip(procs, receivers):
+            proc.join()
+            receiver.close()
+    return models
+
+
+def _fit_share(share, sender):
+    """Worker body: send (True, models) for a share of the jobs, or
+    (False, exception) for the first fit that raises."""
+    try:
+        outcome = True, [fit(*args) for fit, args in share]
+    except Exception as exc:
+        outcome = False, exc
+    sender.send(outcome)
+    sender.close()
 
 
 def infer_with_twins(hmodel, quiet_batch, excited_batch):
@@ -238,15 +307,17 @@ def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
     return level2_scores(model, seed, spec, prbs)
 
 
-def excitation_gain(seed, spec, plan, level2):
+def excitation_gain(seed, spec, plan, level2, level2_probed):
     """Incipient-class accuracy change from exciting the level-2 data.
 
-    level2 is the quiet specialist to score, such as the one inside
-    ``fit_hierarchical(seed, spec)``; the excited one is trained here
-    with the plan.
+    level2 is the quiet specialist, such as the one inside
+    ``fit_hierarchical(seed, spec)``, and level2_probed the one trained
+    on the merged group probed with the plan, such as the one inside
+    ``fit_hierarchical(seed, spec, prbs=plan)``. Each is scored on the
+    test split recorded the way its training split was.
     """
     quiet = level2_scores(level2, seed, spec)
-    excited = level2_accuracies(seed, spec, prbs=plan)
+    excited = level2_scores(level2_probed, seed, spec, prbs=plan)
     incip = sorted(spec.incipient)
     gain = float(np.mean([excited[c] - quiet[c] for c in incip]))
     return {"quiet": quiet, "excited": excited, "gain": gain}
@@ -276,15 +347,21 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         # standardized once, for the flat and the two-level model alike
         scaled_train, scaler = _standardized(
             scenario_batch(seed, "train", spec))
+        flat, level1, level2, level2_probed = _fit_all([
+            (_fit_flat, (seed, spec, scaled_train, scaler)),
+            (_fit_level1, (seed, spec, scaled_train, scaler)),
+            (_fit_level2, (seed, spec, None)),
+            (_fit_level2, (seed, spec, plan)),
+        ])
+        # this process only scores from here on, and its peak memory is
+        # set by the test-split predictions below
+        del scaled_train
         test_b = scenario_batch(seed, "test", spec)
-        flat = _fit_flat(seed, spec, scaled_train, scaler)
         flat_report = evaluate_classifier(flat, test_b)
-        level1 = _fit_level1(seed, spec, scaled_train, scaler)
-        level2 = _fit_level2(seed, spec, None)
         hier_report = hierarchical_report(
             HierarchicalModel(level1, level2, spec.label_map), test_b, test_b)
         # the quiet specialist of the two-level model is the one scored
-        gain = excitation_gain(seed, spec, plan, level2)
+        gain = excitation_gain(seed, spec, plan, level2, level2_probed)
         rows.append({
             "seed": int(seed),
             "flat_incipient": _class_mean(flat_report, incip),

@@ -782,6 +782,23 @@ def test_negative_incipient_class_exits_one(tmp_path, capsys):
     assert "incipient" in err
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_incipient_differing_from_the_surrogate_recipe_exits_one(
+        tmp_path, capsys, command):
+    # the recipe simulates classes 0 and 3 for level 2; relabelling by
+    # [3, 9] would give a 3-class specialist that never saw class 9
+    surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 9], "incipient": [3]}
+    cfg = write_config(tmp_path / "c.json",
+                       {"seed": 1, "surrogate": surr, "incipient": [3, 9],
+                        "mode": "level2"})
+    out = tmp_path / "out"
+    argv = ({"train": ["train", "--mode", "level2"], "tune": ["tune"]}
+            [command] + ["--config", cfg, "--out", str(out)])
+    err = _assert_one_line_exit_one(argv, capsys)
+    assert "'incipient'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["flat", "level1", "level2"])
 @pytest.mark.parametrize("part", ["train", "val"])
 def test_archive_label_outside_n_classes_exits_one(tmp_path, capsys, mode,

@@ -1,6 +1,9 @@
 """Scenario batches, experiment glue, twin-batch evaluation."""
 
 import dataclasses
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +28,13 @@ SMALL_HIER = ExperimentSpec(classes=(0, 1, 3, 11), incipient=(3, 11),
                             window=10, onset=40, epochs=2, encoder=(5,))
 
 PLAN = default_excitation(default_plant())
+
+
+def allow_cpus(monkeypatch, n):
+    """Make the pipeline see n CPUs: one fits in-process, more fork
+    workers, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
 
 
 def test_default_excitation_plan():
@@ -148,7 +158,8 @@ def test_level2_accuracies_keys():
 
 def test_excitation_gain_structure():
     level2 = fit_hierarchical(1, SMALL_HIER).level2
-    out = excitation_gain(1, SMALL_HIER, PLAN, level2)
+    probed = fit_hierarchical(1, SMALL_HIER, prbs=PLAN).level2
+    out = excitation_gain(1, SMALL_HIER, PLAN, level2, probed)
     assert set(out) == {"quiet", "excited", "gain"}
     expect = np.mean([out["excited"][c] - out["quiet"][c]
                       for c in (3, 11)])
@@ -164,20 +175,25 @@ def test_benchmark_scores_the_hierarchical_level2_as_standalone():
                                                       prbs=PLAN)
 
 
-def test_benchmark_simulates_each_split_once(monkeypatch):
+def test_benchmark_simulates_each_split_once(monkeypatch, tmp_path):
     # the quiet train and test splits feed the flat and the two-level
-    # model alike; the rows equal those of the public entry points
+    # model alike; the rows equal those of the public entry points.
+    # The level-2 training splits are simulated in worker processes, so
+    # every run appends a line to a file.
     import fddkit.pipeline as pipeline
-    runs = []
+    log = tmp_path / "runs"
     real = pipeline.simulate_scenario
 
     def counting(plant, **kwargs):
-        runs.append(kwargs["prbs"] is not None)
+        with open(log, "a") as f:
+            f.write(f"{kwargs['prbs'] is not None:d}\n")
         return real(plant, **kwargs)
 
+    allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "simulate_scenario", counting)
     row = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER,
                               plan=PLAN)["per_seed"][0]
+    runs = [line == "1" for line in log.read_text().split()]
     # quiet train and test: 4 classes; level 2, quiet and probed train
     # and test: 3 classes each
     assert len(runs) == 2 * 4 + 4 * 3 and sum(runs) == 2 * 3
@@ -191,6 +207,73 @@ def test_benchmark_simulates_each_split_once(monkeypatch):
                                              for c in (3, 11)])
     assert row["flat_plain"] == flat.fdr_by_class[1]
     assert row["hier_plain"] == hier.fdr_by_class[1]
+
+
+def test_pooled_fits_equal_in_process_fits(monkeypatch):
+    def outputs():
+        bench = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER, plan=PLAN)
+        hmodel = fit_hierarchical(1, SMALL_HIER, prbs=PLAN)
+        assert multiprocessing.active_children() == []
+        models = (hmodel.level1, hmodel.level2)
+        # repr, so that the NaN validation accuracies compare equal; a
+        # float's repr reads back to the same bits
+        return repr((bench, [m.history for m in models])), [
+            a.tobytes() for m in models for a in m.params.flat_arrays()]
+
+    allow_cpus(monkeypatch, 1)
+    in_process = outputs()
+    allow_cpus(monkeypatch, 2)
+    assert outputs() == in_process
+
+
+@pytest.mark.parametrize("entry", ["surrogate_benchmark", "fit_hierarchical"])
+def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
+                                                         tmp_path, entry):
+    # forked workers inherit the patched function
+    import fddkit.pipeline as pipeline
+    pids = tmp_path / "pids"
+
+    def failing(seed, spec, prbs):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        raise ConfigError("level-2 data unusable")
+
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_fit_level2", failing)
+    call = {"surrogate_benchmark": lambda: surrogate_benchmark(
+                seeds=(1,), spec=SMALL_HIER, plan=PLAN),
+            "fit_hierarchical": lambda: fit_hierarchical(1, SMALL_HIER)}
+    with pytest.raises(ConfigError) as info:
+        call[entry]()
+    assert type(info.value) is ConfigError
+    assert str(info.value) == "level-2 data unusable"
+    assert str(os.getpid()) not in pids.read_text().split()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_fit_stops_the_other_workers(monkeypatch):
+    import fddkit.pipeline as pipeline
+
+    def failing(seed, spec, scaled_train, scaler):
+        raise ConfigError("level-1 data unusable")
+
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_fit_level1", failing)
+    monkeypatch.setattr(pipeline, "_fit_level2", lambda *args: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="level-1 data unusable"):
+        fit_hierarchical(1, SMALL_HIER)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_in_the_caller(monkeypatch):
+    import fddkit.pipeline as pipeline
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_fit_level2", lambda *args: os._exit(3))
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        fit_hierarchical(1, SMALL_HIER)
+    assert multiprocessing.active_children() == []
 
 
 def test_tune_classifier_smoke():
