@@ -11,7 +11,7 @@ from .dataio import (Scaler, SplitSpec, WindowBatch, concat_batches,
 from .errors import (ConfigError, DesignError, DimensionError, FddError,
                      FormatError, NumericDivergenceError, NumericError,
                      SplitError, UndefinedMetricError)
-from .hierarchy import HierarchicalModel, LabelMap, merged_subset
+from .hierarchy import HierarchicalModel, LabelMap
 from .metrics import (ConfusionMatrix, EvalReport, average_fdr,
                       build_report, confusion, far, fdr, fdr_precision,
                       format_report, load_report, save_report)
@@ -42,7 +42,7 @@ __all__ = [
     "fdr_precision", "fit_flat", "fit_hierarchical", "format_report",
     "generate_mls", "hierarchical_report", "infer_with_twins",
     "load_labels", "load_matrix", "load_model", "load_plan", "load_report",
-    "make_windows", "merged_subset", "plan_from_band", "prbs_spectrum",
+    "make_windows", "plan_from_band", "prbs_spectrum",
     "prbs_waveform", "sae_loss", "save_labels", "save_matrix", "save_model",
     "save_plan", "save_report", "scenario_batch", "schedule_injection",
     "simulate_scenario", "split", "surrogate_benchmark", "train", "tune",

@@ -21,7 +21,7 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      make_windows, read_fields, read_json, save_labels,
                      save_matrix, split)
 from .errors import ConfigError, FddError, FormatError, NumericError
-from .hierarchy import HierarchicalModel, LabelMap, merged_subset
+from .hierarchy import HierarchicalModel, LabelMap
 from .metrics import format_report, load_report, save_report
 from .model import MODEL_FIELDS, load_model, save_model
 from .pipeline import (ExperimentSpec, classifier_config,
@@ -248,6 +248,20 @@ def _archive_batch(directory, name):
     return WindowBatch(windows=_load_array(wfile), labels=_load_array(lfile))
 
 
+def _label_map(cfg, spec, n_classes):
+    """The two-level label map over n_classes classes, with the config's
+    incipient classes or else the recipe's."""
+    # the recipe decides which classes are simulated for level 2, so a
+    # second incipient list would relabel classes never simulated
+    if "archive" not in cfg and "incipient" in cfg and \
+            set(cfg["incipient"]) != set(spec.incipient):
+        raise ConfigError(
+            f"config key 'incipient' {list(cfg['incipient'])} differs "
+            f"from the surrogate recipe's {list(spec.incipient)}; "
+            f"give the incipient classes under 'surrogate'")
+    return LabelMap(cfg.get("incipient", spec.incipient), n_classes)
+
+
 def _training_data(cfg, mode, seed, surrogate_val=False):
     """(train_batch, val_batch_or_None, n_classes, spec) for one mode.
 
@@ -271,14 +285,6 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
                 raise ConfigError(
                     f"archive labels outside the {n_classes} classes")
     else:
-        # the recipe decides which classes are simulated for level 2, so
-        # a second incipient list would relabel classes never simulated
-        if "incipient" in cfg and set(cfg["incipient"]) != \
-                set(spec.incipient):
-            raise ConfigError(
-                f"config key 'incipient' {list(cfg['incipient'])} differs "
-                f"from the surrogate recipe's {list(spec.incipient)}; "
-                f"give the incipient classes under 'surrogate'")
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         level2 = mode == "level2"
 
@@ -292,20 +298,10 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
         n_classes = max(spec.classes) + 1
     if mode == "flat":
         return train_b, val_b, n_classes, spec
-    lmap = LabelMap(cfg.get("incipient", spec.incipient), n_classes)
-    if mode == "level1":
-        relabel, n_out = lmap.to_level1, lmap.n_level1
-    else:
-        relabel, n_out = lmap.to_level2, lmap.n_level2
-
-    def rewrap(b):
-        if b is None:
-            return None
-        if mode == "level2" and "archive" in cfg:
-            # an archive holds every class; level 2 keeps the merged group
-            return merged_subset(b, lmap)
-        return b.relabel(relabel(b.labels))
-    return rewrap(train_b), rewrap(val_b), n_out, spec
+    lmap = _label_map(cfg, spec, n_classes)
+    return (lmap.relabel(train_b, mode),
+            None if val_b is None else lmap.relabel(val_b, mode),
+            lmap.n_classes(mode), spec)
 
 
 def _model_config(cfg, spec, n_classes, n_features, seed):
@@ -383,10 +379,12 @@ def cmd_evaluate(args):
         # its probed twin and the quiet split, which the flat model never
         # reads, is built here
         quiet = _test_data(cfg, seed, spec) if probed else test_b
-        lmap = LabelMap(cfg.get("incipient", spec.incipient),
-                        cfg.get("n_classes", max(spec.classes) + 1))
-        hmodel = HierarchicalModel(load_model(Path(cfg["level1"])),
-                                   load_model(Path(cfg["level2"])), lmap)
+        level1 = load_model(Path(cfg["level1"]))
+        # level 1 merges the incipient classes into the normal class
+        n_classes = cfg.get("n_classes", level1.params.n_classes + len(
+            set(cfg.get("incipient", spec.incipient))))
+        hmodel = HierarchicalModel(level1, load_model(Path(cfg["level2"])),
+                                   _label_map(cfg, spec, n_classes))
         metadata["model"] = f"{cfg['level1']}+{cfg['level2']}"
         report = hierarchical_report(hmodel, quiet, test_b, metadata)
     else:

@@ -39,6 +39,8 @@ class Scaler:
         if data.ndim < 2:
             raise DimensionError("scaler data must be (..., d_x)")
         data = data.reshape(-1, data.shape[-1])
+        if data.shape[0] == 0:
+            raise DimensionError("no data rows to fit a scaler on")
         mean = data.mean(axis=0)
         std = data.std(axis=0)
         # Constant columns would divide by zero; clamp them to pass through.

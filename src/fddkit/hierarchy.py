@@ -51,16 +51,10 @@ class LabelMap:
     def level2_classes(self):
         return (0, *self.incipient)
 
-    @property
-    def n_level1(self):
-        return len(self.level1_classes)
-
-    @property
-    def n_level2(self):
-        return len(self.level2_classes)
-
-    def is_merged(self, original):
-        return original == 0 or original in self.incipient
+    def n_classes(self, mode):
+        """The class count of a model trained in mode."""
+        return {"flat": self.n_original, "level1": len(self.level1_classes),
+                "level2": len(self.level2_classes)}[mode]
 
     def _check_range(self, labels):
         labels = np.asarray(labels)
@@ -90,6 +84,19 @@ class LabelMap:
             raise ConfigError(f"class {bad} is not in the merged group")
         return out
 
+    def relabel(self, batch, mode):
+        """batch as a model trained in mode sees it: flat keeps it as it
+        is, level1 maps it to the merged alphabet, and level2 keeps the
+        merged group's rows under level-2 labels."""
+        if mode == "flat":
+            return batch
+        if mode == "level1":
+            return batch.relabel(self.to_level1(batch.labels))
+        in_group = np.isin(batch.labels, self.level2_classes)
+        if not in_group.all():
+            batch = batch.take(np.flatnonzero(in_group))
+        return batch.relabel(self.to_level2(batch.labels))
+
     def from_level1(self, labels):
         table = np.asarray(self.level1_classes)
         return table[np.asarray(labels)]
@@ -99,14 +106,6 @@ class LabelMap:
         return table[np.asarray(labels)]
 
 
-def merged_subset(batch, label_map):
-    """The rows of batch whose labels belong to the merged group,
-    relabeled into the level-2 alphabet."""
-    mask = np.array([label_map.is_merged(int(v)) for v in batch.labels])
-    sub = batch.take(np.flatnonzero(mask))
-    return sub.relabel(label_map.to_level2(sub.labels))
-
-
 @dataclass
 class HierarchicalModel:
     """A level-1 router plus a level-2 specialist."""
@@ -114,6 +113,15 @@ class HierarchicalModel:
     level1: TrainedModel
     level2: TrainedModel
     label_map: LabelMap
+
+    def __post_init__(self):
+        for mode in ("level1", "level2"):
+            got = getattr(self, mode).params.n_classes
+            want = self.label_map.n_classes(mode)
+            if got != want:
+                raise ConfigError(
+                    f"the {mode} model predicts {got} classes, but the "
+                    f"label map gives {mode} {want}")
 
     def infer_batch(self, windows, probed=None):
         """Original-alphabet predictions for raw (unscaled) windows.

@@ -148,46 +148,43 @@ def evaluate_classifier(model, batch, metadata=None):
 
 
 def fit_flat(seed, spec=ExperimentSpec()):
-    return _fit_flat(seed, spec,
-                     *_standardized(scenario_batch(seed, "train", spec)))
+    return _fit_quiet("flat", seed, spec)
 
 
-def _fit_flat(seed, spec, scaled_train, scaler):
-    """The flat classifier on the standardized quiet training split."""
-    cfg = classifier_config(max(spec.classes) + 1, seed, spec,
+def _fit_quiet(mode, seed, spec):
+    """The mode's classifier on the quiet training split, which is
+    simulated here."""
+    return _fit(mode, seed, spec,
+                *_standardized(scenario_batch(seed, "train", spec)))
+
+
+def _fit(mode, seed, spec, scaled_train, scaler):
+    """The mode's classifier on a standardized training split, which the
+    recipe's label map relabels for that mode."""
+    lmap = spec.label_map
+    cfg = classifier_config(lmap.n_classes(mode), seed, spec,
                             n_features=scaled_train.n_features)
-    return train(scaled_train, None, cfg, scaler=scaler)
+    return train(lmap.relabel(scaled_train, mode), None, cfg, scaler=scaler)
 
 
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     """Level-1 router on quiet data; level-2 specialist on the merged
-    group, excited when a plan is given."""
-    scaled_train, scaler = _standardized(scenario_batch(seed, "train", spec))
+    group, excited when a plan is given. Each fit simulates its own
+    training split, so with fit workers this process builds none."""
     level1, level2 = _fit_all([
-        (_fit_level1, (seed, spec, scaled_train, scaler)),
+        (_fit_quiet, ("level1", seed, spec)),
         (_fit_level2, (seed, spec, prbs)),
     ])
     return HierarchicalModel(level1, level2, spec.label_map)
 
 
-def _fit_level1(seed, spec, scaled_train, scaler):
-    """The level-1 router on the standardized quiet training split."""
-    lmap = spec.label_map
-    cfg1 = classifier_config(lmap.n_level1, seed, spec,
-                             n_features=scaled_train.n_features)
-    return train(scaled_train.relabel(lmap.to_level1(scaled_train.labels)),
-                 None, cfg1, scaler=scaler)
-
-
 def _fit_level2(seed, spec, prbs):
-    """The level-2 specialist on the merged group's training split."""
-    lmap = spec.label_map
+    """The level-2 specialist on the merged group's training split, which
+    is simulated here, in the fit's own worker."""
     sub_train = scenario_batch(seed, "train", spec,
-                               classes=lmap.level2_classes, prbs=prbs)
-    cfg2 = classifier_config(lmap.n_level2, seed, spec,
-                             n_features=sub_train.n_features)
-    return fit_classifier(sub_train.relabel(lmap.to_level2(sub_train.labels)),
-                          cfg2)
+                               classes=spec.label_map.level2_classes,
+                               prbs=prbs)
+    return _fit("level2", seed, spec, *_standardized(sub_train))
 
 
 def _fit_all(jobs):
@@ -292,11 +289,11 @@ def level2_scores(model, seed, spec=ExperimentSpec(), prbs=None):
     """Per-class accuracy of a level-2 specialist on the merged group's
     test split, keyed by original class id."""
     lmap = spec.label_map
-    test_b = scenario_batch(seed, "test", spec,
-                            classes=lmap.level2_classes, prbs=prbs)
+    test_b = lmap.relabel(scenario_batch(seed, "test", spec,
+                                         classes=lmap.level2_classes,
+                                         prbs=prbs), "level2")
     preds = model.predict(test_b)
-    truth = lmap.to_level2(test_b.labels)
-    return {orig: float(np.mean(preds[truth == k] == k))
+    return {orig: float(np.mean(preds[test_b.labels == k] == k))
             for k, orig in enumerate(lmap.level2_classes)}
 
 
@@ -348,8 +345,8 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         scaled_train, scaler = _standardized(
             scenario_batch(seed, "train", spec))
         flat, level1, level2, level2_probed = _fit_all([
-            (_fit_flat, (seed, spec, scaled_train, scaler)),
-            (_fit_level1, (seed, spec, scaled_train, scaler)),
+            (_fit, ("flat", seed, spec, scaled_train, scaler)),
+            (_fit, ("level1", seed, spec, scaled_train, scaler)),
             (_fit_level2, (seed, spec, None)),
             (_fit_level2, (seed, spec, plan)),
         ])

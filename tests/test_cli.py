@@ -888,3 +888,83 @@ def test_hierarchical_evaluate_writes_the_hierarchical_report(tmp_path, prbs):
     for name in ("summary.json", "report.txt", "confusion.txt"):
         assert (rep / name).read_bytes() == \
             (tmp_path / "expect" / name).read_bytes()
+
+
+def _archive_level_models(tmp_path, n_classes):
+    """An archive of n_classes classes, and a level-1 and a level-2 model
+    trained on it with incipient classes 3 and 9 and no n_classes."""
+    arc = tmp_path / "arc"
+    arc.mkdir()
+    rng = np.random.default_rng(0)
+    for name in ("train", "test"):
+        labels = np.arange(2 * n_classes) % n_classes
+        np.save(arc / f"{name}_windows.npy",
+                rng.normal(size=(labels.size, 4, 2)))
+        np.save(arc / f"{name}_labels.npy", labels)
+    base = {"seed": 1, "archive": str(arc), "incipient": [3, 9]}
+    cfg = write_config(tmp_path / "train.json", {
+        **base, "model": {"encoder": [2], "decoder": [2], "epochs": 1}})
+    for mode in ("level1", "level2"):
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / mode), "--mode", mode]) == 0
+    return base
+
+
+@pytest.mark.parametrize("case", ["derived", "n_classes", "swapped"])
+def test_hierarchical_evaluate_checks_models_against_the_label_map(
+        tmp_path, capsys, case):
+    base = _archive_level_models(tmp_path, 21)
+    l1, l2 = str(tmp_path / "level1"), str(tmp_path / "level2")
+    cfg = {**base, "level1": l1, "level2": l2}
+    if case == "n_classes":
+        # a 20-class level-1 alphabet; the level-1 model predicts 19
+        cfg.update(incipient=[3], n_classes=21)
+    elif case == "swapped":
+        cfg.update(level1=l2, level2=l1)
+    argv = ["evaluate", "--hierarchical", "--config",
+            write_config(tmp_path / "ev.json", cfg),
+            "--out", str(tmp_path / "rep")]
+    if case == "derived":
+        # 19 level-1 classes plus the 2 incipient ones
+        assert main(argv) == 0
+        counts = np.loadtxt(tmp_path / "rep" / "confusion.txt",
+                            dtype=np.int64)
+        assert counts.shape == (21, 21)
+    else:
+        err = _assert_one_line_exit_one(argv, capsys)
+        assert "classes" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_level2_training_without_merged_group_windows_exits_one(tmp_path,
+                                                                 capsys):
+    # no label is 0 or 2, so level 2 keeps no window to fit a scaler on
+    arc = tmp_path / "arc"
+    arc.mkdir()
+    np.save(arc / "train_windows.npy",
+            np.random.default_rng(0).normal(size=(6, 4, 2)))
+    np.save(arc / "train_labels.npy", np.array([1, 3, 1, 3, 1, 3]))
+    cfg = write_config(tmp_path / "train.json", {
+        "seed": 1, "archive": str(arc), "incipient": [2], "n_classes": 4,
+        "model": {"encoder": [2], "decoder": [2], "epochs": 1}})
+    _assert_one_line_exit_one(
+        ["train", "--config", cfg, "--out", str(tmp_path / "m"),
+         "--mode", "level2"], capsys)
+
+
+def test_cli_trains_the_level_models_of_fit_hierarchical(tmp_path):
+    surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
+            "incipient": [3, 11], "n_series_level2": 1, "horizon": 150}
+    cfg = write_config(tmp_path / "train.json",
+                       {"seed": 2, "surrogate": surr, "prbs": "default"})
+    spec = fddkit.cli._spec_from({"surrogate": surr})
+    hmodel = fit_hierarchical(
+        2, spec, prbs=default_excitation(spec.plant_factory(seed=0)))
+    for mode, model in (("level1", hmodel.level1),
+                        ("level2", hmodel.level2)):
+        assert main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "cli" / mode), "--mode", mode]) == 0
+        save_model(model, tmp_path / "lib" / mode)
+        for name in ("params.bin", "scaler.json"):
+            assert (tmp_path / "cli" / mode / name).read_bytes() == \
+                (tmp_path / "lib" / mode / name).read_bytes()

@@ -5,7 +5,7 @@ import pytest
 
 from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import ConfigError
-from fddkit.hierarchy import HierarchicalModel, LabelMap, merged_subset
+from fddkit.hierarchy import HierarchicalModel, LabelMap
 from fddkit.model import ModelConfig, TrainedModel, build_params
 from fddkit.pipeline import hierarchical_report
 
@@ -16,7 +16,7 @@ def test_regroup_thirteen_classes():
     merged = lmap.to_level1(labels)
     expect = [0, 1, 2, 0, 3, 4, 5, 6, 7, 0, 8, 0, 9]
     assert merged.tolist() == expect
-    assert lmap.n_level1 == 10
+    assert lmap.n_classes("level1") == 10
     assert lmap.level2_classes == (0, 3, 9, 11)
     assert lmap.level1_classes == (-1, 1, 2, 4, 5, 6, 7, 8, 10, 12)
     assert lmap.n_original == 13
@@ -86,8 +86,8 @@ def _toy_batch(labels, horizon=4, n_features=2, seed=0):
 
 def test_routing_reaches_level2():
     lmap = LabelMap((3, 9, 11), 13)
-    level1 = _constant_model(2, lmap.n_level1, 4, favored=0)
-    level2 = _constant_model(2, lmap.n_level2, 4, favored=2)
+    level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=0)
+    level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=2)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 3, 9, 11, 1])
     preds = model.infer_batch(batch.windows)
@@ -99,8 +99,8 @@ def test_routing_reaches_level2():
 
 def test_routing_skips_level2_for_plain_faults():
     lmap = LabelMap((3, 9, 11), 13)
-    level1 = _constant_model(2, lmap.n_level1, 4, favored=3)
-    level2 = _constant_model(2, lmap.n_level2, 4, favored=1)
+    level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=3)
+    level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=1)
     model = HierarchicalModel(level1, level2, lmap)
     preds = model.infer_batch(_toy_batch([0, 1, 2]).windows)
     # level-1 class 3 is original class 4; level 2 never consulted
@@ -111,8 +111,10 @@ def test_per_level_scalers_are_honored():
     lmap = LabelMap((1,), 3)
     s1 = Scaler(mean=np.zeros(2), std=np.ones(2))
     s2 = Scaler(mean=np.full(2, 100.0), std=np.full(2, 10.0))
-    level1 = _constant_model(2, lmap.n_level1, 4, favored=0, scaler=s1)
-    level2 = _constant_model(2, lmap.n_level2, 4, favored=1, scaler=s2)
+    level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=0,
+                             scaler=s1)
+    level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=1,
+                             scaler=s2)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 0])
     got = model.infer_batch(batch.windows)
@@ -127,9 +129,9 @@ def test_per_level_scalers_are_honored():
 def test_infer_batch_routes_level2_on_its_own_windows_by_default():
     lmap = LabelMap((3, 9, 11), 13)
     cfg1 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
-                       n_classes=lmap.n_level1, horizon=4, seed=1)
+                       n_classes=lmap.n_classes("level1"), horizon=4, seed=1)
     cfg2 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
-                       n_classes=lmap.n_level2, horizon=4, seed=2)
+                       n_classes=lmap.n_classes("level2"), horizon=4, seed=2)
     level1 = TrainedModel(cfg1, build_params(cfg1), [],
                           Scaler(mean=[0.5, -1.0], std=[2.0, 0.5]))
     level2 = TrainedModel(cfg2, build_params(cfg2), [],
@@ -147,7 +149,7 @@ def test_infer_batch_routes_level2_on_its_own_windows_by_default():
 def test_merged_subset_filters_and_relabels():
     lmap = LabelMap((3, 9, 11), 13)
     batch = _toy_batch([0, 1, 3, 9, 11, 5, 0])
-    sub = merged_subset(batch, lmap)
+    sub = lmap.relabel(batch, "level2")
     assert sub.labels.tolist() == [0, 1, 2, 3, 0]
     assert sub.windows.shape[0] == 5
     np.testing.assert_array_equal(sub.windows[0], batch.windows[0])
@@ -156,8 +158,8 @@ def test_merged_subset_filters_and_relabels():
 
 def test_hierarchical_report_full_alphabet():
     lmap = LabelMap((3, 9, 11), 13)
-    level1 = _constant_model(2, lmap.n_level1, 4, favored=0)
-    level2 = _constant_model(2, lmap.n_level2, 4, favored=0)
+    level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=0)
+    level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=0)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 0, 3, 1])
     report = hierarchical_report(model, batch, batch)
@@ -166,3 +168,13 @@ def test_hierarchical_report_full_alphabet():
     assert report.cm.counts[:, 0].sum() == 4
     assert report.far == 0.0
 
+
+
+def test_relabel_keeps_the_windows_of_a_merged_group_batch():
+    lmap = LabelMap((3, 9, 11), 13)
+    batch = _toy_batch([0, 3, 9, 11, 0])
+    assert lmap.relabel(batch, "flat") is batch
+    assert lmap.relabel(batch, "level1").labels.tolist() == [0] * 5
+    sub = lmap.relabel(batch, "level2")
+    assert sub.labels.tolist() == [0, 1, 2, 3, 0]
+    assert sub.windows is batch.windows

@@ -254,11 +254,11 @@ def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
 def test_a_failing_fit_stops_the_other_workers(monkeypatch):
     import fddkit.pipeline as pipeline
 
-    def failing(seed, spec, scaled_train, scaler):
+    def failing(mode, seed, spec, scaled_train, scaler):
         raise ConfigError("level-1 data unusable")
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_level1", failing)
+    monkeypatch.setattr(pipeline, "_fit", failing)
     monkeypatch.setattr(pipeline, "_fit_level2", lambda *args: time.sleep(60))
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="level-1 data unusable"):
