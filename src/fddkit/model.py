@@ -29,6 +29,9 @@ from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
 
 LOG_CLAMP = 1e-12
 GRAD_CLIP = 5.0
+# Master weights at this size (the square root of the largest float32,
+# about 1.8e19) or beyond count as divergence; see _step_params.
+F32_WEIGHT_LIMIT = float(np.sqrt(np.finfo(np.float32).max))
 
 # Learning-rate grid searched by default; the other fields stay at the
 # base config unless a search space overrides them.
@@ -148,22 +151,27 @@ def sae_loss(recon, inputs, probs, labels, lam1, lam2, lam3, params):
     """Composite loss; see the module docstring for the exact form."""
     if min(lam1, lam2, lam3) < 0:
         raise ConfigError("loss weights must be nonnegative")
-    recon = np.asarray(recon, dtype=np.float64)
-    inputs = np.asarray(inputs, dtype=np.float64)
+    recon = np.asarray(recon)
+    inputs = np.asarray(inputs)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if recon.shape != inputs.shape:
         raise DimensionError("reconstruction and input shapes differ")
     n = recon.shape[0]
-    mse = float(np.sum((inputs - recon) ** 2))
+    # summed in float64 whatever the dtype of the reconstruction
+    mse = float(np.sum(np.square(inputs - recon), dtype=np.float64))
     p_true = np.clip(probs[np.arange(n), labels], LOG_CLAMP, None)
     ce = float(-np.sum(np.log(p_true)))
     return (lam1 * mse + lam2 * ce + lam3 * _reg_sum(params)) / n
 
 
 def loss_and_grads(windows, labels, params, config):
-    """Loss plus exact gradients for one (already standardized) batch."""
-    windows = np.asarray(windows, dtype=np.float64)
+    """Loss plus exact gradients for one (already standardized) batch.
+
+    The passes run in the dtype of params, the windows are cast to it,
+    and the gradients come back in it.
+    """
+    windows = np.asarray(windows, dtype=params.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     recon, probs, z_seq, caches = _forward_caches(windows, params)
     loss = sae_loss(recon, windows, probs, labels, config.lam1, config.lam2,
@@ -185,7 +193,9 @@ def loss_and_grads(windows, labels, params, config):
     grad_h[:, -1] += dlogits @ params.W_c
 
     for k in range(n_enc - 1, -1, -1):
-        grads.layers[k], grad_h = lstm_backward(caches[k], grad_h)
+        # the windows need no gradient, so the first layer skips it
+        grads.layers[k], grad_h = lstm_backward(caches[k], grad_h,
+                                                grad_input=k > 0)
 
     scale = 2.0 * config.lam3 / n
     for gl, pl in zip(grads.layers, params.layers):
@@ -233,6 +243,21 @@ class TrainedModel:
         return predict(self.params, windows)
 
 
+def _step_params(params, epoch):
+    """The float32 copy of the master weights that a training step
+    computes with.
+
+    A weight whose square overflows float32 makes the step's loss
+    non-finite, so such weights, and non-finite ones, raise
+    NumericDivergenceError here, before the cast.
+    """
+    if not all(np.all(np.abs(a) < F32_WEIGHT_LIMIT)
+               for a in params.flat_arrays()):
+        raise NumericDivergenceError(
+            f"weights outgrew float32 in epoch {epoch}")
+    return params.astype(np.float32)
+
+
 def train(train_batch, val_batch, config, scaler=None):
     """Minibatch Adam on the composite loss.
 
@@ -240,6 +265,15 @@ def train(train_batch, val_batch, config, scaler=None):
     config.seed. When a validation batch is given, the returned parameters
     are the epoch snapshot with the best validation accuracy (earliest
     epoch on ties); otherwise the final parameters.
+
+    Mixed precision: each minibatch's loss and gradients are computed in
+    float32, on float32 copies of the parameters and of the gathered
+    windows, and the gradients are cast back to float64. The parameters
+    (the master weights), the Adam moments, clipping, validation and the
+    returned parameters stay float64, so zero epochs return the exact
+    initialization and validation scores the same float64 inference as
+    predict. Master weights of F32_WEIGHT_LIMIT (about 1.8e19) or more,
+    or a non-finite loss, raise NumericDivergenceError naming the epoch.
     """
     if len(train_batch) == 0:
         raise ConfigError("training batch is empty")
@@ -258,13 +292,17 @@ def train(train_batch, val_batch, config, scaler=None):
         loss_sum = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss, grads = loss_and_grads(train_batch.windows[idx],
-                                         train_batch.labels[idx],
-                                         params, config)
+            step_params = _step_params(params, epoch)
+            # an overflow in the float32 step gives an infinite loss,
+            # which is reported as divergence just below
+            with np.errstate(over="ignore"):
+                loss, grads = loss_and_grads(train_batch.windows[idx],
+                                             train_batch.labels[idx],
+                                             step_params, config)
             if not np.isfinite(loss):
                 raise NumericDivergenceError(
                     f"loss became non-finite in epoch {epoch}")
-            grads, _ = clip_global_norm(grads, GRAD_CLIP)
+            grads, _ = clip_global_norm(grads.astype(np.float64), GRAD_CLIP)
             params, state = adam_step(params, grads, state,
                                       lr=config.learning_rate)
             loss_sum += loss * idx.size

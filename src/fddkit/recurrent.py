@@ -1,8 +1,13 @@
 """LSTM forward/backward passes, softmax, Adam, and a finite-difference gradient oracle.
 
-All math is dense float64 numpy. Gate blocks are packed row-wise in the
-order forget, input, candidate, output, so W has shape (4*d_h, d_x),
-R has shape (4*d_h, d_h) and b has shape (4*d_h,).
+All math is dense numpy in the dtype of the parameters: a layer or
+ParamSet holds float32 or float64 arrays, one dtype per set, and every
+pass casts its input to that dtype and allocates and computes in it. So
+float64 parameters give float64 arithmetic throughout, and float32
+parameters (``ParamSet.astype``), as the training step uses them, give
+float32 arithmetic with no upcast inside the step loop. Gate blocks are
+packed row-wise in the order forget, input, candidate, output, so W has
+shape (4*d_h, d_x), R has shape (4*d_h, d_h) and b has shape (4*d_h,).
 
 Time steps are a Python loop, so the cost of a pass is the cost of its
 per-step numpy calls, and those run fastest on contiguous operands. So
@@ -46,6 +51,12 @@ from .errors import DimensionError, FormatError, NumericError
 _MAGIC = b"FDK1"
 
 
+def _float_array(x):
+    """x as an array of float32 if it is one, else of float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def sigmoid(x, out=None):
     """Numerically stable logistic function.
 
@@ -53,9 +64,10 @@ def sigmoid(x, out=None):
     never overflows. Both branches share e = exp(-|x|), and the numerator
     is max(e, x >= 0): 1 where x >= 0 (e <= 1 there) and e elsewhere,
     with no boolean-mask gathers and scatters. ``out``, as in numpy, may
-    be x itself.
+    be x itself. float32 input gives float32 output; any other input is
+    taken as float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     e = np.exp(-np.abs(x))
     out = np.maximum(e, x >= 0, out=out)
     e += 1.0
@@ -64,8 +76,9 @@ def sigmoid(x, out=None):
 
 
 def softmax(logits):
-    """Softmax along the last axis, shifted by the row max for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
+    """Softmax along the last axis, shifted by the row max for stability,
+    in float32 for float32 logits and in float64 otherwise."""
+    logits = _float_array(logits)
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax received non-finite logits")
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
@@ -75,16 +88,20 @@ def softmax(logits):
 
 @dataclass
 class LstmParams:
-    """One recurrent layer: input kernel W, recurrent kernel R, bias b."""
+    """One recurrent layer: input kernel W, recurrent kernel R, bias b.
+
+    W sets the layer's dtype (float32 if it is float32, else float64), and
+    R and b are cast to it.
+    """
 
     W: np.ndarray
     R: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.R = np.asarray(self.R, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.W = _float_array(self.W)
+        self.R = np.asarray(self.R, dtype=self.W.dtype)
+        self.b = np.asarray(self.b, dtype=self.W.dtype)
         if self.W.ndim != 2 or self.R.ndim != 2 or self.b.ndim != 1:
             raise DimensionError("LSTM parameter arrays have wrong rank")
         four_dh = self.W.shape[0]
@@ -121,7 +138,7 @@ class ParamSet:
     ``layers`` holds encoder layers first, then decoder layers;
     ``n_encoder`` marks the split. The classifier reads the hidden state of
     layer ``n_encoder - 1``, so W_c has shape (n_classes, d_z) with d_z the
-    hidden size of that layer.
+    hidden size of that layer. Every array has the first layer's dtype.
     """
 
     layers: list = field(default_factory=list)
@@ -139,8 +156,11 @@ class ParamSet:
                 raise DimensionError(
                     f"layer {k} expects input size {self.layers[k].d_x}, "
                     f"previous layer produces {self.layers[k - 1].d_h}")
-        self.W_c = np.asarray(self.W_c, dtype=np.float64)
-        self.b_c = np.asarray(self.b_c, dtype=np.float64)
+        dtype = self.layers[0].W.dtype
+        if any(layer.W.dtype != dtype for layer in self.layers):
+            raise TypeError("the layers of a ParamSet differ in dtype")
+        self.W_c = np.asarray(self.W_c, dtype=dtype)
+        self.b_c = np.asarray(self.b_c, dtype=dtype)
         d_z = self.layers[self.n_encoder - 1].d_h
         if self.W_c.ndim != 2 or self.W_c.shape[1] != d_z:
             raise DimensionError(
@@ -155,6 +175,10 @@ class ParamSet:
     @property
     def n_classes(self):
         return self.W_c.shape[0]
+
+    @property
+    def dtype(self):
+        return self.W_c.dtype
 
     def flat_arrays(self):
         """References (not copies) to every parameter array, fixed order."""
@@ -171,6 +195,14 @@ class ParamSet:
     def zeros_like(self):
         return ParamSet([la.zeros_like() for la in self.layers],
                         np.zeros_like(self.W_c), np.zeros_like(self.b_c),
+                        self.n_encoder)
+
+    def astype(self, dtype):
+        """A copy with every array cast to dtype, float32 or float64."""
+        return ParamSet([LstmParams(*(a.astype(dtype)
+                                      for a in (la.W, la.R, la.b)))
+                         for la in self.layers],
+                        self.W_c.astype(dtype), self.b_c.astype(dtype),
                         self.n_encoder)
 
 
@@ -235,9 +267,9 @@ class LstmCache:
 
 
 def _checked_input(x, params):
-    """The input as float64 (N, T, d_x); rejects a wrong rank, non-finite
-    values and a feature size the layer does not take."""
-    x = np.asarray(x, dtype=np.float64)
+    """The input as (N, T, d_x) in the layer's dtype; rejects a wrong rank,
+    non-finite values and a feature size the layer does not take."""
+    x = np.asarray(x, dtype=params.W.dtype)
     if x.ndim != 3:
         raise DimensionError(f"expected (N, T, d_x) input, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -300,19 +332,19 @@ def lstm_forward_batch(x, params):
     """
     x = _checked_input(x, params)
     n, t_len, _ = x.shape
-    d_h = params.d_h
+    d_h, dtype = params.d_h, params.W.dtype
 
-    h = np.empty((t_len, n, d_h))
-    c = np.empty((t_len, n, d_h))
-    tanh_c = np.empty((t_len, n, d_h))
+    h = np.empty((t_len, n, d_h), dtype)
+    c = np.empty((t_len, n, d_h), dtype)
+    tanh_c = np.empty((t_len, n, d_h), dtype)
 
     # Hoist the input projection out of the time loop; only the recurrent
     # term depends on the previous step. The product stays batch-major (a
     # time-major one can take another BLAS path and round differently);
     # the gate array holds its copy and each step overwrites its slice.
-    gates = np.empty((t_len, 4, n, d_h))
+    gates = np.empty((t_len, 4, n, d_h), dtype)
     _gate_major(x @ params.W.T, params.b, gates)
-    h_prev = c_prev = np.zeros((n, d_h))
+    h_prev = c_prev = np.zeros((n, d_h), dtype)
     for t in range(t_len):
         a = gates[t]
         a += _gate_rows(h_prev @ params.R.T)
@@ -336,11 +368,11 @@ def lstm_hidden_batch(x, params):
     """
     x = _checked_input(x, params)
     n, t_len, _ = x.shape
-    d_h = params.d_h
-    h = np.empty((t_len, n, d_h))
-    a = np.empty((4, n, d_h))
-    c = np.zeros((n, d_h))
-    h_prev = np.zeros((n, d_h))
+    d_h, dtype = params.d_h, params.W.dtype
+    h = np.empty((t_len, n, d_h), dtype)
+    a = np.empty((4, n, d_h), dtype)
+    c = np.zeros((n, d_h), dtype)
+    h_prev = np.zeros((n, d_h), dtype)
     # batch-major like lstm_forward_batch, and copied one step at a time
     # into the preactivation buffer, so no second (N, T, 4*d_h) array is
     # made; tanh of the cell state goes straight into h[t]
@@ -353,8 +385,9 @@ def lstm_hidden_batch(x, params):
     return h.transpose(1, 0, 2)
 
 
-def lstm_backward(cache, grad_h):
-    """Backpropagate through one layer's unrolled forward pass.
+def lstm_backward(cache, grad_h, grad_input=True):
+    """Backpropagate through one layer's unrolled forward pass, in the
+    dtype of the layer's parameters.
 
     Parameters
     ----------
@@ -362,21 +395,25 @@ def lstm_backward(cache, grad_h):
         From lstm_forward_batch.
     grad_h : ndarray, shape (N, T, d_h)
         Loss gradient with respect to every hidden state.
+    grad_input : bool
+        False skips the input gradient (the first layer of a stack has no
+        use for it); dW, dR and db do not depend on it.
 
     Returns
     -------
     grads : LstmParams
         Accumulated dW, dR, db.
-    grad_x : ndarray
+    grad_x : ndarray or None
         Gradient with respect to the layer input, same shape as x, over
-        time-major memory.
+        time-major memory; None when grad_input is False.
     """
-    grad_h = np.asarray(grad_h, dtype=np.float64)
+    p = cache.params
+    grad_h = np.asarray(grad_h, dtype=p.W.dtype)
     if grad_h.shape != cache.h.shape:
         raise DimensionError(
             f"grad_h shape {grad_h.shape} does not match h {cache.h.shape}")
-    p = cache.params
     n, t_len, d_h = cache.h.shape
+    dtype = p.W.dtype
     xs, hs, cs, tcs = (s.transpose(1, 0, 2) for s in
                        (cache.x, cache.h, cache.c, cache.tanh_c))
     grad_h = _time_major(grad_h)
@@ -384,12 +421,12 @@ def lstm_backward(cache, grad_h):
     dW = np.zeros_like(p.W)
     dR = np.zeros_like(p.R)
     db = np.zeros_like(p.b)
-    dx = np.empty((t_len, n, p.d_x))
-    dh_next = np.zeros((n, d_h))
-    dc = np.zeros((n, d_h))
-    zeros = np.zeros((n, d_h))   # the initial h and c
+    dx = np.empty((t_len, n, p.d_x), dtype) if grad_input else None
+    dh_next = np.zeros((n, d_h), dtype)
+    dc = np.zeros((n, d_h), dtype)
+    zeros = np.zeros((n, d_h), dtype)   # the initial h and c
 
-    da = np.empty((n, 4 * d_h))
+    da = np.empty((n, 4 * d_h), dtype)
     for t in range(t_len - 1, -1, -1):
         f, i, g, o = cache.gates[t]
         tc = tcs[t]
@@ -411,11 +448,14 @@ def lstm_backward(cache, grad_h):
         dW += da.T @ xs[t]
         dR += da.T @ h_prev
         db += da.sum(axis=0)
-        dx[t] = da @ p.W
+        if grad_input:
+            dx[t] = da @ p.W
         dh_next = da @ p.R
         dc = dc * f
 
-    return LstmParams(dW, dR, db), dx.transpose(1, 0, 2)
+    if grad_input:
+        dx = dx.transpose(1, 0, 2)
+    return LstmParams(dW, dR, db), dx
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +238,70 @@ def test_train_raises_on_divergence():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericDivergenceError, match="epoch"):
             train(toy_batch(), None, cfg)
+
+
+@pytest.mark.parametrize("lr", [1e19, 1e25, 3e38, 1e160, 1e300])
+def test_train_reports_every_float32_overflow_as_divergence(lr):
+    # weights from about 1e19 up overflow the float32 step somewhere:
+    # its loss, its products or the cast itself
+    cfg = tiny_config(epochs=2, learning_rate=lr, batch_size=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDivergenceError, match="epoch 0"):
+            train(toy_batch(), None, cfg)
+
+
+def test_train_steps_in_float32_and_returns_float64_bytes_deterministically(
+        monkeypatch):
+    seen = []
+    real = fddkit.model.loss_and_grads
+
+    def recording(windows, labels, params, config):
+        seen.append(params.dtype)
+        loss, grads = real(windows, labels, params, config)
+        seen.append(grads.dtype)
+        return loss, grads
+
+    monkeypatch.setattr(fddkit.model, "loss_and_grads", recording)
+    batch = toy_batch(n_per_class=6, seed=5)
+    cfg = tiny_config(epochs=4, batch_size=4)
+    m1 = train(batch, batch, cfg)
+    m2 = train(batch, batch, cfg)
+    assert seen and all(dtype == np.float32 for dtype in seen)
+    assert all(a.dtype == np.float64 for a in m1.params.flat_arrays())
+    assert [a.tobytes() for a in m1.params.flat_arrays()] == \
+        [a.tobytes() for a in m2.params.flat_arrays()]
+    assert m1.history == m2.history
+
+
+def loss_and_grads_case():
+    cfg = ModelConfig(encoder=(5, 4), decoder=(3,), n_features=3,
+                      n_classes=3, horizon=6, seed=21, lam3=1e-3)
+    rng = np.random.default_rng(22)
+    return (cfg, build_params(cfg), rng.normal(size=(8, 6, 3)),
+            rng.integers(3, size=8))
+
+
+def test_loss_and_grads_float32_returns_float32_gradients():
+    cfg, params, x, y = loss_and_grads_case()
+    loss64, grads64 = loss_and_grads(x, y, params, cfg)
+    loss32, grads32 = loss_and_grads(x, y, params.astype(np.float32), cfg)
+    assert all(g.dtype == np.float32 for g in grads32.flat_arrays())
+    assert math.isclose(loss32, loss64, rel_tol=1e-5)
+    assert max_rel_error(grads32.astype(np.float64), grads64) < 1e-5
+
+
+def test_loss_and_grads_float64_bytes_are_pinned():
+    # SHA-256 of the loss and every gradient array, taken at the commit
+    # before the passes learned float32 (single-threaded); float64
+    # parameters must still give exactly these bytes.
+    cfg, params, x, y = loss_and_grads_case()
+    loss, grads = loss_and_grads(x, y, params, cfg)
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    for g in grads.flat_arrays():
+        digest.update(g.tobytes())
+    assert digest.hexdigest() == \
+        "3d5e93ccd138b1ba2ec44d3a5153d7593810db039966f157905d40617bb00f9f"
 
 
 def test_tune_budget_one_returns_sampled_config():

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,89 @@ def test_single_sequence_backward_shapes():
     grads, dx = lstm_backward(cache, np.ones_like(h))
     assert dx.shape == x.shape
     assert grads.W.shape == p.W.shape
+
+
+def test_backward_without_input_gradient_keeps_parameter_gradients():
+    rng = np.random.default_rng(12)
+    p = init_params([(5, 6)], n_classes=2, seed=8).layers[0]
+    x = rng.normal(size=(7, 9, 5))
+    gh = rng.normal(size=(7, 9, 6))
+    _, _, cache = lstm_forward_batch(x, p)
+    full, dx = lstm_backward(cache, gh)
+    skipped, none = lstm_backward(cache, gh, grad_input=False)
+    assert dx.shape == x.shape and none is None
+    for a, b in zip((full.W, full.R, full.b), (skipped.W, skipped.R, skipped.b)):
+        assert a.tobytes() == b.tobytes()
+
+
+# (N, T, d_x, d_h): the paper_seed shapes (T = 20, d_h = 12, batch 128)
+# and the archive_track encoder and decoder (T = 150, 52 channels, d_z = 16)
+SHAPES = [(128, 20, 7, 12), (64, 150, 52, 16), (64, 150, 16, 52)]
+# float32 keeps about 7 digits; over 150 steps the passes measured below
+# 6e-7 of each array's largest magnitude, so 100 float32 ulps leaves room
+# for other BLAS kernels
+REL_TOL_32 = 100 * np.finfo(np.float32).eps
+
+
+def float32_case(n, t_len, d_x, d_h, seed=0):
+    rng = np.random.default_rng(seed)
+    p = init_params([(d_x, d_h)], n_classes=2, seed=seed)
+    return (p.layers[0], p.astype(np.float32).layers[0],
+            rng.normal(size=(n, t_len, d_x)), rng.normal(size=(n, t_len, d_h)))
+
+
+def test_paramset_astype_casts_every_array_and_keeps_one_dtype():
+    p = init_params([(3, 4), (4, 3)], n_classes=2, seed=1, n_encoder=1)
+    q = p.astype(np.float32)
+    assert p.dtype == np.float64 and q.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in q.flat_arrays())
+    assert q.n_encoder == 1
+    back = q.astype(np.float64)
+    for a, b in zip(back.flat_arrays(), p.flat_arrays()):
+        np.testing.assert_allclose(a, b, rtol=np.finfo(np.float32).eps)
+    with pytest.raises(TypeError):
+        ParamSet([p.layers[0], q.layers[1]], p.W_c, p.b_c, 1)
+
+
+def test_float32_passes_return_float32_arrays():
+    _, p32, x, gh = float32_case(5, 6, 3, 4)
+    h, c, cache = lstm_forward_batch(x, p32)
+    grads, dx = lstm_backward(cache, gh)
+    for a in (h, c, cache.x, cache.gates, cache.tanh_c, dx,
+              lstm_hidden_batch(x, p32), grads.W, grads.R, grads.b):
+        assert a.dtype == np.float32
+
+
+@pytest.mark.parametrize("n,t_len,d_x,d_h", SHAPES)
+def test_float32_hidden_pass_equals_training_pass_bitwise(n, t_len, d_x, d_h):
+    _, p32, x, _ = float32_case(n, t_len, d_x, d_h)
+    h, _, _ = lstm_forward_batch(x, p32)
+    assert lstm_hidden_batch(x, p32).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("n,t_len,d_x,d_h", SHAPES)
+def test_float32_passes_agree_with_float64(n, t_len, d_x, d_h):
+    p64, p32, x, gh = float32_case(n, t_len, d_x, d_h)
+    h64, c64, cache64 = lstm_forward_batch(x, p64)
+    h32, c32, cache32 = lstm_forward_batch(x, p32)
+    g64, dx64 = lstm_backward(cache64, gh)
+    g32, dx32 = lstm_backward(cache32, gh)
+    for a32, a64 in ((h32, h64), (c32, c64), (g32.W, g64.W), (g32.R, g64.R),
+                     (g32.b, g64.b), (dx32, dx64)):
+        err = np.max(np.abs(a32 - a64)) / np.max(np.abs(a64))
+        assert err < REL_TOL_32
+
+
+def test_sigmoid_float32_saturates_exactly_without_warnings():
+    x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(x)
+        in_place = x.copy()
+        sigmoid(in_place, out=in_place)
+    assert out.dtype == np.float32
+    assert out[0] == 0.0 and out[-1] == 1.0 and out[2] == 0.5
+    assert in_place.tobytes() == out.tobytes()
 
 
 def test_adam_first_step_closed_form():
