@@ -21,7 +21,7 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      make_windows, read_fields, read_json, save_labels,
                      save_matrix, split)
 from .errors import ConfigError, FddError, FormatError, NumericError
-from .hierarchy import HierarchicalModel, LabelMap
+from .hierarchy import MODES, HierarchicalModel, LabelMap, check_mode
 from .metrics import format_report, load_report, save_report
 from .model import MODEL_FIELDS, load_model, save_model
 from .pipeline import (ExperimentSpec, classifier_config,
@@ -31,8 +31,6 @@ from .pipeline import (ExperimentSpec, classifier_config,
 from .plant import (FaultSpec, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
 from .prbs import BandSpec, design_band, load_plan, plan_from_band, save_plan
-
-MODES = ("flat", "level1", "level2")
 
 # Field tables: the kind of each key of each config node. A command reads
 # "model" as a node (train, tune) or a path (evaluate), and "prbs" as
@@ -265,37 +263,34 @@ def _label_map(cfg, spec, n_classes):
 def _training_data(cfg, mode, seed, surrogate_val=False):
     """(train_batch, val_batch_or_None, n_classes, spec) for one mode.
 
-    An archive brings its own val split. For surrogate data a val split
-    is built only when surrogate_val is set, by the same recipe (classes,
-    series count, probing plan) and relabelling as the training split.
+    Surrogate data is the mode's scenario_batch, probed with the config's
+    plan for level 2; its val split is built only when surrogate_val is
+    set. An archive brings its own val split, relabelled for the mode.
     """
     spec = _spec_from(cfg)
-    if "archive" in cfg:
-        archive = cfg["archive"]
-        train_b = _archive_batch(archive, "train")
-        if train_b is None:
-            raise ConfigError(f"no train split under {archive}")
-        val_b = _archive_batch(archive, "val")
-        n_classes = cfg.get("n_classes", int(train_b.labels.max()) + 1)
-        # level 2 keeps only the merged group's windows, so a label
-        # outside the alphabet would be dropped there, not reported
-        for b in (train_b, val_b):
-            if b is not None and np.any((b.labels < 0)
-                                        | (b.labels >= n_classes)):
-                raise ConfigError(
-                    f"archive labels outside the {n_classes} classes")
-    else:
-        plan = _plan_from(cfg, spec.plant_factory(seed=0))
-        level2 = mode == "level2"
-
-        def build(split):
-            return scenario_batch(
-                seed, split, spec,
-                classes=spec.label_map.level2_classes if level2 else None,
-                prbs=plan if level2 else None)
-        train_b = build("train")
-        val_b = build("val") if surrogate_val else None
+    if "archive" not in cfg:
         n_classes = max(spec.classes) + 1
+        if mode != "flat":
+            # checks a top-level incipient list before anything is simulated
+            n_classes = _label_map(cfg, spec, n_classes).n_classes(mode)
+        plan = _plan_from(cfg, spec.plant_factory(seed=0))
+        prbs = plan if mode == "level2" else None
+        train_b = scenario_batch(seed, "train", spec, mode, prbs)
+        val_b = (scenario_batch(seed, "val", spec, mode, prbs)
+                 if surrogate_val else None)
+        return train_b, val_b, n_classes, spec
+    archive = cfg["archive"]
+    train_b = _archive_batch(archive, "train")
+    if train_b is None:
+        raise ConfigError(f"no train split under {archive}")
+    val_b = _archive_batch(archive, "val")
+    n_classes = cfg.get("n_classes", int(train_b.labels.max()) + 1)
+    # level 2 keeps only the merged group's windows, so a label outside
+    # the alphabet would be dropped there, not reported
+    for b in (train_b, val_b):
+        if b is not None and np.any((b.labels < 0) | (b.labels >= n_classes)):
+            raise ConfigError(
+                f"archive labels outside the {n_classes} classes")
     if mode == "flat":
         return train_b, val_b, n_classes, spec
     lmap = _label_map(cfg, spec, n_classes)
@@ -327,10 +322,7 @@ def cmd_train(args):
 def cmd_tune(args):
     cfg = _load_config(args.config)
     seed = cfg["seed"]
-    mode = cfg.get("mode", "flat")
-    if mode not in MODES:
-        raise ConfigError(f"config key 'mode' must be one of "
-                          f"{', '.join(MODES)}, not {mode!r}")
+    mode = check_mode(cfg.get("mode", "flat"))
     train_b, val_b, n_classes, spec = _training_data(cfg, mode, seed,
                                                      surrogate_val=True)
     if val_b is None:

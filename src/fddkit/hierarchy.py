@@ -15,6 +15,15 @@ import numpy as np
 from .errors import ConfigError
 from .model import TrainedModel
 
+MODES = ("flat", "level1", "level2")
+
+
+def check_mode(mode):
+    """mode, if it is one of MODES; else a ConfigError naming it."""
+    if mode not in MODES:
+        raise ConfigError(f"mode {mode!r} is not one of {', '.join(MODES)}")
+    return mode
+
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -54,7 +63,7 @@ class LabelMap:
     def n_classes(self, mode):
         """The class count of a model trained in mode."""
         return {"flat": self.n_original, "level1": len(self.level1_classes),
-                "level2": len(self.level2_classes)}[mode]
+                "level2": len(self.level2_classes)}[check_mode(mode)]
 
     def _check_range(self, labels):
         labels = np.asarray(labels)
@@ -88,7 +97,7 @@ class LabelMap:
         """batch as a model trained in mode sees it: flat keeps it as it
         is, level1 maps it to the merged alphabet, and level2 keeps the
         merged group's rows under level-2 labels."""
-        if mode == "flat":
+        if check_mode(mode) == "flat":
             return batch
         if mode == "level1":
             return batch.relabel(self.to_level1(batch.labels))

@@ -4,7 +4,8 @@ Everything here is a deterministic function of (seed, recipe): scenario
 series get their plant seeds from the split name and the experiment
 seed, so train/val/test data never share a noise stream, and an excited
 batch built with the same arguments is the sample-aligned twin of its
-quiet counterpart.
+quiet counterpart. ``scenario_batch(..., mode)`` alone says which data a
+flat, level-1 or level-2 model trains and is scored on.
 """
 
 import os
@@ -14,7 +15,7 @@ import numpy as np
 
 from .dataio import Scaler, concat_batches, make_windows
 from .errors import ConfigError
-from .hierarchy import HierarchicalModel, LabelMap
+from .hierarchy import HierarchicalModel, LabelMap, check_mode
 from .metrics import build_report, confusion
 from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
 from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
@@ -67,6 +68,11 @@ class ExperimentSpec:
             raise ConfigError("scenario recipe exceeds the seed block size")
         if 0 not in self.classes:
             raise ConfigError("the normal class must be part of the recipe")
+        for cls in self.classes:
+            if cls not in SURROGATE_CLASSES:
+                raise ConfigError(
+                    f"class {cls} is not in the surrogate fault library, "
+                    f"whose classes run from 0 to {SURROGATE_CLASSES[-1]}")
 
     @property
     def label_map(self):
@@ -77,21 +83,21 @@ class ExperimentSpec:
         return default_fault_library(onset=self.onset)
 
 
-def scenario_batch(seed, split, spec=ExperimentSpec(), classes=None,
+def scenario_batch(seed, split, spec=ExperimentSpec(), mode="flat",
                    prbs=None):
-    """Windowed data for one split, one series per (class, repeat) pair.
-
-    classes defaults to the full recipe; passing a subset (the merged
-    group) also bumps the series count to the level-2 setting.
-    """
+    """Windowed data for one split, one series per (class, repeat) pair,
+    under the labels of a model of mode (``LabelMap.relabel``). flat and
+    level1 simulate every class, n_series runs each; level2 the merged
+    group (``label_map.level2_classes``), n_series_level2 runs each."""
     if split not in SPLIT_BASES:
         raise ConfigError(f"unknown split {split!r}")
+    level2 = check_mode(mode) == "level2"
+    classes = spec.label_map.level2_classes if level2 else spec.classes
+    n_series = spec.n_series_level2 if level2 else spec.n_series
     base = SPLIT_BASES[split] + 1000 * int(seed)
     lib = spec.fault_library()
-    use_classes = spec.classes if classes is None else classes
-    n_series = spec.n_series if classes is None else spec.n_series_level2
     parts = []
-    for i, cls in enumerate(use_classes):
+    for i, cls in enumerate(classes):
         for r in range(n_series):
             plant = spec.plant_factory(seed=base + i + 20 * r)
             fault = None if cls == 0 else lib[cls]
@@ -99,7 +105,9 @@ def scenario_batch(seed, split, spec=ExperimentSpec(), classes=None,
                                    horizon=spec.horizon)
             parts.append(make_windows(ds.records, ds.labels, spec.window))
     # concat_batches renumbers series ids, one per scenario run
-    return concat_batches(parts)
+    batch = concat_batches(parts)
+    # a flat recipe need not have a valid two-level split
+    return batch if mode == "flat" else spec.label_map.relabel(batch, mode)
 
 
 def classifier_config(n_classes, seed, spec=ExperimentSpec(),
@@ -148,23 +156,22 @@ def evaluate_classifier(model, batch, metadata=None):
 
 
 def fit_flat(seed, spec=ExperimentSpec()):
-    return _fit_quiet("flat", seed, spec)
+    return _fit_split("flat", seed, spec)
 
 
-def _fit_quiet(mode, seed, spec):
-    """The mode's classifier on the quiet training split, which is
-    simulated here."""
-    return _fit(mode, seed, spec,
-                *_standardized(scenario_batch(seed, "train", spec)))
+def _fit_split(mode, seed, spec, prbs=None):
+    """The mode's classifier on the mode's training split, which is
+    simulated and standardized here, in the fit's own worker."""
+    return _fit(mode, seed, spec, *_standardized(
+        scenario_batch(seed, "train", spec, mode, prbs)))
 
 
 def _fit(mode, seed, spec, scaled_train, scaler):
-    """The mode's classifier on a standardized training split, which the
-    recipe's label map relabels for that mode."""
-    lmap = spec.label_map
-    cfg = classifier_config(lmap.n_classes(mode), seed, spec,
+    """The mode's classifier on a standardized training split that
+    already carries the mode's labels."""
+    cfg = classifier_config(spec.label_map.n_classes(mode), seed, spec,
                             n_features=scaled_train.n_features)
-    return train(lmap.relabel(scaled_train, mode), None, cfg, scaler=scaler)
+    return train(scaled_train, None, cfg, scaler=scaler)
 
 
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
@@ -172,19 +179,10 @@ def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     group, excited when a plan is given. Each fit simulates its own
     training split, so with fit workers this process builds none."""
     level1, level2 = _fit_all([
-        (_fit_quiet, ("level1", seed, spec)),
-        (_fit_level2, (seed, spec, prbs)),
+        (_fit_split, ("level1", seed, spec)),
+        (_fit_split, ("level2", seed, spec, prbs)),
     ])
     return HierarchicalModel(level1, level2, spec.label_map)
-
-
-def _fit_level2(seed, spec, prbs):
-    """The level-2 specialist on the merged group's training split, which
-    is simulated here, in the fit's own worker."""
-    sub_train = scenario_batch(seed, "train", spec,
-                               classes=spec.label_map.level2_classes,
-                               prbs=prbs)
-    return _fit("level2", seed, spec, *_standardized(sub_train))
 
 
 def _fit_all(jobs):
@@ -288,19 +286,16 @@ def hierarchical_report(hmodel, quiet_batch, probed_batch, metadata=None):
 def level2_scores(model, seed, spec=ExperimentSpec(), prbs=None):
     """Per-class accuracy of a level-2 specialist on the merged group's
     test split, keyed by original class id."""
-    lmap = spec.label_map
-    test_b = lmap.relabel(scenario_batch(seed, "test", spec,
-                                         classes=lmap.level2_classes,
-                                         prbs=prbs), "level2")
+    test_b = scenario_batch(seed, "test", spec, "level2", prbs)
     preds = model.predict(test_b)
     return {orig: float(np.mean(preds[test_b.labels == k] == k))
-            for k, orig in enumerate(lmap.level2_classes)}
+            for k, orig in enumerate(spec.label_map.level2_classes)}
 
 
 def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
     """Per-class test accuracy of a standalone level-2 specialist,
     keyed by original class id."""
-    model = _fit_level2(seed, spec, prbs)
+    model = _fit_split("level2", seed, spec, prbs)
     return level2_scores(model, seed, spec, prbs)
 
 
@@ -344,15 +339,16 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         # standardized once, for the flat and the two-level model alike
         scaled_train, scaler = _standardized(
             scenario_batch(seed, "train", spec))
+        level1_train = spec.label_map.relabel(scaled_train, "level1")
         flat, level1, level2, level2_probed = _fit_all([
             (_fit, ("flat", seed, spec, scaled_train, scaler)),
-            (_fit, ("level1", seed, spec, scaled_train, scaler)),
-            (_fit_level2, (seed, spec, None)),
-            (_fit_level2, (seed, spec, plan)),
+            (_fit, ("level1", seed, spec, level1_train, scaler)),
+            (_fit_split, ("level2", seed, spec)),
+            (_fit_split, ("level2", seed, spec, plan)),
         ])
         # this process only scores from here on, and its peak memory is
         # set by the test-split predictions below
-        del scaled_train
+        del scaled_train, level1_train
         test_b = scenario_batch(seed, "test", spec)
         flat_report = evaluate_classifier(flat, test_b)
         hier_report = hierarchical_report(

@@ -799,6 +799,33 @@ def test_incipient_differing_from_the_surrogate_recipe_exits_one(
     assert not out.exists()
 
 
+def test_incipient_mismatch_exits_before_anything_is_simulated(
+        tmp_path, capsys, monkeypatch):
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", simulating)
+    surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 9], "incipient": [3]}
+    cfg = write_config(tmp_path / "c.json",
+                       {"seed": 1, "surrogate": surr, "incipient": [3, 9]})
+    err = _assert_one_line_exit_one(
+        ["train", "--mode", "level1", "--config", cfg,
+         "--out", str(tmp_path / "out")], capsys)
+    assert "'incipient'" in err
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_surrogate_class_outside_the_fault_library_exits_one(
+        tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json",
+                       {"seed": 1, "surrogate": {**TINY_SURROGATE,
+                                                 "classes": [0, 15]}})
+    argv = ({"train": ["train", "--mode", "flat"], "tune": ["tune"]}
+            [command] + ["--config", cfg, "--out", str(tmp_path / "out")])
+    err = _assert_one_line_exit_one(argv, capsys)
+    assert "class 15" in err and "0 to 12" in err
+
+
 @pytest.mark.parametrize("mode", ["flat", "level1", "level2"])
 @pytest.mark.parametrize("part", ["train", "val"])
 def test_archive_label_outside_n_classes_exits_one(tmp_path, capsys, mode,

@@ -5,7 +5,7 @@ import pytest
 
 from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import ConfigError
-from fddkit.hierarchy import HierarchicalModel, LabelMap
+from fddkit.hierarchy import MODES, HierarchicalModel, LabelMap
 from fddkit.model import ModelConfig, TrainedModel, build_params
 from fddkit.pipeline import hierarchical_report
 
@@ -178,3 +178,22 @@ def test_relabel_keeps_the_windows_of_a_merged_group_batch():
     sub = lmap.relabel(batch, "level2")
     assert sub.labels.tolist() == [0, 1, 2, 3, 0]
     assert sub.windows is batch.windows
+
+
+@pytest.mark.parametrize("mode", ["level_1", "Level2", ""])
+def test_relabel_rejects_an_unknown_mode(mode):
+    # an unknown mode used to be taken for level2
+    with pytest.raises(ConfigError, match=f"mode {mode!r} is not one of"):
+        LabelMap((3, 9, 11), 13).relabel(_toy_batch([0, 3, 9]), mode)
+
+
+@pytest.mark.parametrize("mode", ["level_1", "Level2", ""])
+def test_n_classes_rejects_an_unknown_mode(mode):
+    with pytest.raises(ConfigError, match=f"mode {mode!r} is not one of"):
+        LabelMap((3, 9, 11), 13).n_classes(mode)
+
+
+def test_the_modes_have_one_home():
+    import fddkit.cli
+    assert MODES == ("flat", "level1", "level2")
+    assert fddkit.cli.MODES is MODES

@@ -90,11 +90,48 @@ def test_twin_batches_align():
     assert quiet.windows.tobytes() != excited.windows.tobytes()
 
 
+def test_level1_batch_is_the_flat_batch_under_level1_labels():
+    flat = scenario_batch(2, "train", SMALL_HIER)
+    level1 = scenario_batch(2, "train", SMALL_HIER, "level1")
+    assert level1.windows.tobytes() == flat.windows.tobytes()
+    np.testing.assert_array_equal(
+        level1.labels, SMALL_HIER.label_map.to_level1(flat.labels))
+    np.testing.assert_array_equal(level1.series, flat.series)
+
+
+def test_level2_batch_is_the_merged_group_at_its_run_count():
+    spec = dataclasses.replace(SMALL_HIER, n_series_level2=2)
+    batch = scenario_batch(2, "train", spec, "level2")
+    group = spec.label_map.level2_classes
+    assert len(set(batch.series.tolist())) == len(group) * 2
+    assert set(batch.labels.tolist()) == set(range(len(group)))
+
+
+def test_probed_level2_batch_is_the_quiet_ones_twin():
+    quiet = scenario_batch(2, "test", SMALL_HIER, "level2")
+    probed = scenario_batch(2, "test", SMALL_HIER, "level2", PLAN)
+    np.testing.assert_array_equal(quiet.labels, probed.labels)
+    np.testing.assert_array_equal(quiet.starts, probed.starts)
+    np.testing.assert_array_equal(quiet.series, probed.series)
+    assert quiet.windows.tobytes() != probed.windows.tobytes()
+
+
+def test_scenario_batch_rejects_an_unknown_mode():
+    with pytest.raises(ConfigError, match="'level_1'"):
+        scenario_batch(2, "train", TINY, "level_1")
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec(classes=(1, 2))
     with pytest.raises(ConfigError):
         ExperimentSpec(n_series=50)
+
+
+@pytest.mark.parametrize("cls", [13, 15, -1])
+def test_spec_rejects_a_class_outside_the_fault_library(cls):
+    with pytest.raises(ConfigError, match=f"class {cls} .* 0 to 12"):
+        ExperimentSpec(classes=(0, cls))
 
 
 def test_fit_and_evaluate_flat():
@@ -233,13 +270,17 @@ def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
     import fddkit.pipeline as pipeline
     pids = tmp_path / "pids"
 
-    def failing(seed, spec, prbs):
+    real = pipeline._fit_split
+
+    def failing(mode, seed, spec, prbs=None):
+        if mode != "level2":
+            return real(mode, seed, spec, prbs)
         with open(pids, "a") as f:
             f.write(f"{os.getpid()}\n")
         raise ConfigError("level-2 data unusable")
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_level2", failing)
+    monkeypatch.setattr(pipeline, "_fit_split", failing)
     call = {"surrogate_benchmark": lambda: surrogate_benchmark(
                 seeds=(1,), spec=SMALL_HIER, plan=PLAN),
             "fit_hierarchical": lambda: fit_hierarchical(1, SMALL_HIER)}
@@ -254,12 +295,13 @@ def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
 def test_a_failing_fit_stops_the_other_workers(monkeypatch):
     import fddkit.pipeline as pipeline
 
-    def failing(mode, seed, spec, scaled_train, scaler):
-        raise ConfigError("level-1 data unusable")
+    def failing(mode, seed, spec, prbs=None):
+        if mode == "level1":
+            raise ConfigError("level-1 data unusable")
+        time.sleep(60)
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit", failing)
-    monkeypatch.setattr(pipeline, "_fit_level2", lambda *args: time.sleep(60))
+    monkeypatch.setattr(pipeline, "_fit_split", failing)
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="level-1 data unusable"):
         fit_hierarchical(1, SMALL_HIER)
@@ -269,8 +311,15 @@ def test_a_failing_fit_stops_the_other_workers(monkeypatch):
 
 def test_a_worker_that_dies_raises_in_the_caller(monkeypatch):
     import fddkit.pipeline as pipeline
+    real = pipeline._fit_split
+
+    def dying(mode, seed, spec, prbs=None):
+        if mode == "level2":
+            os._exit(3)
+        return real(mode, seed, spec, prbs)
+
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_level2", lambda *args: os._exit(3))
+    monkeypatch.setattr(pipeline, "_fit_split", dying)
     with pytest.raises(ChildProcessError, match="exited with code 3"):
         fit_hierarchical(1, SMALL_HIER)
     assert multiprocessing.active_children() == []
