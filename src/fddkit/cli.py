@@ -8,7 +8,6 @@ numerically.
 
 import argparse
 import dataclasses
-import json
 import sys
 import zipfile
 from pathlib import Path
@@ -19,7 +18,7 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT, Scaler,
                      SplitSpec, WindowBatch, load_labels, load_matrix,
                      make_windows, read_fields, read_json, save_labels,
-                     save_matrix, split)
+                     save_matrix, split, write_json)
 from .errors import ConfigError, FddError, FormatError, NumericError
 from .hierarchy import MODES, HierarchicalModel, LabelMap, check_mode
 from .metrics import format_report, load_report, save_report
@@ -30,7 +29,8 @@ from .pipeline import (ExperimentSpec, classifier_config,
                        tune_classifier)
 from .plant import (FaultSpec, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
-from .prbs import BandSpec, design_band, load_plan, plan_from_band, save_plan
+from .prbs import (DEFAULT_TARGET, BandSpec, design_band, load_plan,
+                   plan_from_band, save_plan)
 
 # Field tables: the kind of each key of each config node. A command reads
 # "model" as a node (train, tune) or a path (evaluate), and "prbs" as
@@ -134,7 +134,7 @@ def _plan_from(cfg, plant):
     else:
         band = BandSpec(node["omega_low"], node["omega_high"],
                         omega_nyquist=nyq, **_given(node, "s_f"))
-    target = node.get("target", "loop1")
+    target = node.get("target", DEFAULT_TARGET)
     loop = _target_loop(target, plant.n_loops)
     amplitude = node.get("amplitude", 0.02 * plant.setpoint_ranges[loop])
     return plan_from_band(band, node.get("t_s", plant.t_s),
@@ -175,8 +175,7 @@ def cmd_simulate(args):
         "fault_class": None if fault is None else fault.fault_class,
         "prbs": plan is not None,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2,
-                                              sort_keys=True) + "\n")
+    write_json(out / "meta.json", meta)
     print(f"wrote {ds.records.shape[0]} samples x "
           f"{ds.records.shape[1]} channels to {out}")
     return 0
@@ -219,8 +218,7 @@ def cmd_ingest(args):
     meta = {"window": window, "n_features": batch.n_features,
             "counts": counts, "seed": cfg["seed"],
             "contiguous": spec.contiguous}
-    (out / "meta.json").write_text(json.dumps(meta, indent=2,
-                                              sort_keys=True) + "\n")
+    write_json(out / "meta.json", meta)
     print("ingested windows:",
           " ".join(f"{k}={v}" for k, v in counts.items()))
     return 0
@@ -269,10 +267,9 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
     """
     spec = _spec_from(cfg)
     if "archive" not in cfg:
-        n_classes = max(spec.classes) + 1
-        if mode != "flat":
-            # checks a top-level incipient list before anything is simulated
-            n_classes = _label_map(cfg, spec, n_classes).n_classes(mode)
+        # checks a top-level incipient list before anything is simulated
+        lmap = _label_map(cfg, spec, spec.label_map.n_original)
+        n_classes = lmap.n_classes(mode)
         plan = _plan_from(cfg, spec.plant_factory(seed=0))
         prbs = plan if mode == "level2" else None
         train_b = scenario_batch(seed, "train", spec, mode, prbs)

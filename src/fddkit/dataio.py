@@ -56,11 +56,9 @@ class Scaler:
         return (data - self.mean) / self.std
 
     def save(self, path):
-        """Write mean and std as sorted-key JSON (scaler.json)."""
-        with open(path, "w") as fh:
-            json.dump({"mean": self.mean.tolist(), "std": self.std.tolist()},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Write mean and std as a JSON record (scaler.json)."""
+        write_json(path, {"mean": self.mean.tolist(),
+                          "std": self.std.tolist()})
 
     @classmethod
     def load(cls, path):
@@ -82,6 +80,14 @@ def read_json(path):
             return json.load(fh)
     except ValueError as exc:   # also UnicodeDecodeError
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(path, value):
+    """Write value as the package's JSON record: sorted keys, a
+    two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # A field table maps each key of one JSON object to the kind of its value.

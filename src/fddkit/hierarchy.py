@@ -3,9 +3,10 @@
 Level 1 sees every class but with the hard (incipient) fault classes and
 the normal class merged into a single index-0 group; level 2 is a
 specialist that separates that group into normal plus the individual
-incipient classes. Each level keeps its own feature scaler, and a window
-is routed to level 2 only when level 1 picks the merged group; level 2
-then reads the window itself or its probed twin.
+incipient classes. Each level keeps its own feature scaler. This module
+holds the label bookkeeping and the pair of level models; routing a
+window to level 2 when level 1 picks the merged group is
+``pipeline.infer_with_twins``.
 """
 
 from dataclasses import dataclass
@@ -117,7 +118,8 @@ class LabelMap:
 
 @dataclass
 class HierarchicalModel:
-    """A level-1 router plus a level-2 specialist."""
+    """A level-1 router plus a level-2 specialist whose class counts
+    match the label map; ``pipeline.infer_with_twins`` routes with it."""
 
     level1: TrainedModel
     level2: TrainedModel
@@ -131,24 +133,3 @@ class HierarchicalModel:
                 raise ConfigError(
                     f"the {mode} model predicts {got} classes, but the "
                     f"label map gives {mode} {want}")
-
-    def infer_batch(self, windows, probed=None):
-        """Original-alphabet predictions for raw (unscaled) windows.
-
-        Level 1 routes every window; level 2 re-examines the routed rows
-        of probed, the sample-aligned twin recorded with the probing
-        signal on, or of windows themselves when probed is None.
-        """
-        windows = np.asarray(windows, dtype=np.float64)
-        probed = (windows if probed is None
-                  else np.asarray(probed, dtype=np.float64))
-        if probed.shape != windows.shape:
-            raise ConfigError("twin batches do not align")
-        pred1 = self.level1.predict(windows)
-        out = self.label_map.from_level1(pred1)
-        routed = np.flatnonzero(pred1 == 0)
-        if routed.size:
-            pred2 = self.level2.predict(probed[routed])
-            out[routed] = self.label_map.from_level2(pred2)
-        return out
-

@@ -8,13 +8,12 @@ quantity used in the summary tables.
 """
 
 from dataclasses import dataclass, field
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (INTEGER, INTEGERS, NUMBER_OR_NULL, OBJECT, RATES,
-                     load_matrix, read_fields, read_json)
+                     load_matrix, read_fields, read_json, write_json)
 from .errors import (ConfigError, DimensionError, FormatError,
                      UndefinedMetricError)
 
@@ -182,7 +181,5 @@ def save_report(report, directory):
         "normal_class": report.normal_class,
         "metadata": {k: report.metadata[k] for k in sorted(report.metadata)},
     }
-    with open(directory / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "summary.json", summary)
     (directory / "report.txt").write_text(format_report(report))

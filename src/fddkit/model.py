@@ -13,13 +13,12 @@ matrix but no biases.
 """
 
 from dataclasses import dataclass, field, asdict, replace
-import json
 import math
 
 import numpy as np
 
 from .dataio import (INTEGER, INTEGERS, NUMBER, Scaler, WindowBatch,
-                     read_fields, read_json)
+                     read_fields, read_json, write_json)
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericDivergenceError)
 from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
@@ -369,9 +368,7 @@ def save_model(model, directory):
     cfg = asdict(model.config)
     cfg["encoder"] = list(model.config.encoder)
     cfg["decoder"] = list(model.config.decoder)
-    with open(directory / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "config.json", cfg)
     with open(directory / "history.tsv", "w") as fh:
         fh.write("epoch\tloss\tval_accuracy\n")
         for row in model.history:

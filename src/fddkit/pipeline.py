@@ -5,11 +5,12 @@ series get their plant seeds from the split name and the experiment
 seed, so train/val/test data never share a noise stream, and an excited
 batch built with the same arguments is the sample-aligned twin of its
 quiet counterpart. ``scenario_batch(..., mode)`` alone says which data a
-flat, level-1 or level-2 model trains and is scored on.
+flat, level-1 or level-2 model trains and is scored on, and
+``infer_with_twins`` alone routes windows through a two-level model.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .metrics import build_report, confusion
 from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
 from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
-from .prbs import design_band, plan_from_band
+from .prbs import DEFAULT_TARGET, design_band, plan_from_band
 
 SPLIT_BASES = {"train": 0, "val": 400_000, "test": 800_000}
 
@@ -37,11 +38,9 @@ def default_excitation(plant):
     at 2 % of that loop's set-point range."""
     band = design_band(SURROGATE_TAU_OL, SURROGATE_TAU_CL,
                        omega_nyquist=np.pi / plant.t_s)
-    target = "loop1"
-    loop = _target_loop(target, plant.n_loops)
+    loop = _target_loop(DEFAULT_TARGET, plant.n_loops)
     return plan_from_band(band, plant.t_s,
-                          amplitude=0.02 * plant.setpoint_ranges[loop],
-                          target=target)
+                          amplitude=0.02 * plant.setpoint_ranges[loop])
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,8 @@ class ExperimentSpec:
     encoder: tuple = (12,)
     decoder: tuple = None      # None: single layer sized to the features
     plant_factory: object = default_plant
+    # the two level alphabets over the dense classes 0..max
+    label_map: LabelMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.classes) > 20 or self.n_series > 20 \
@@ -73,11 +74,15 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"class {cls} is not in the surrogate fault library, "
                     f"whose classes run from 0 to {SURROGATE_CLASSES[-1]}")
-
-    @property
-    def label_map(self):
-        """The two level alphabets over the dense classes 0..max."""
-        return LabelMap(self.incipient, max(self.classes) + 1)
+        # level 2 simulates the incipient classes, and the router must
+        # have seen them
+        missing = sorted(set(self.incipient) - set(self.classes))
+        if missing:
+            raise ConfigError(
+                f"incipient classes {missing} are not among the recipe's "
+                f"classes {list(self.classes)}")
+        object.__setattr__(self, "label_map",
+                           LabelMap(self.incipient, max(self.classes) + 1))
 
     def fault_library(self):
         return default_fault_library(onset=self.onset)
@@ -105,9 +110,7 @@ def scenario_batch(seed, split, spec=ExperimentSpec(), mode="flat",
                                    horizon=spec.horizon)
             parts.append(make_windows(ds.records, ds.labels, spec.window))
     # concat_batches renumbers series ids, one per scenario run
-    batch = concat_batches(parts)
-    # a flat recipe need not have a valid two-level split
-    return batch if mode == "flat" else spec.label_map.relabel(batch, mode)
+    return spec.label_map.relabel(concat_batches(parts), mode)
 
 
 def classifier_config(n_classes, seed, spec=ExperimentSpec(),
@@ -251,17 +254,27 @@ def _fit_share(share, sender):
     sender.close()
 
 
-def infer_with_twins(hmodel, quiet_batch, excited_batch):
-    """Route on quiet windows; re-examine routed ones on excited twins.
+def infer_with_twins(hmodel, quiet_batch, probed_batch):
+    """Original-alphabet predictions of a two-level model, the one
+    routing rule: level 1 reads every window of quiet_batch, and level 2
+    re-examines the windows it routes to the merged group on
+    probed_batch.
 
-    The two batches must be sample-aligned builds of the same scenario
-    recipe, differing only in excitation. Passing one batch as both
-    routes and re-examines on the same windows.
+    probed_batch is the sample-aligned twin of quiet_batch, recorded
+    with the probing signal on; pass quiet_batch twice to route quietly.
+    ConfigError if the windows' shapes or the labels differ.
     """
-    if not np.array_equal(quiet_batch.labels, excited_batch.labels):
+    if (quiet_batch.windows.shape != probed_batch.windows.shape
+            or not np.array_equal(quiet_batch.labels, probed_batch.labels)):
         raise ConfigError("twin batches do not align")
-    return hmodel.infer_batch(quiet_batch.windows,
-                              probed=excited_batch.windows)
+    lmap = hmodel.label_map
+    pred1 = hmodel.level1.predict(quiet_batch)
+    out = lmap.from_level1(pred1)
+    routed = np.flatnonzero(pred1 == 0)
+    if routed.size:
+        pred2 = hmodel.level2.predict(probed_batch.windows[routed])
+        out[routed] = lmap.from_level2(pred2)
+    return out
 
 
 def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,

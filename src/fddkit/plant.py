@@ -146,9 +146,6 @@ class ScenarioDataset:
 
     records: np.ndarray
     labels: np.ndarray
-    fault: FaultSpec = None
-    prbs: object = None
-    seed: int = 0
     n_loops: int = 0
 
     @property
@@ -240,8 +237,7 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
             raise NumericDivergenceError(
                 f"simulation diverged at sample {t}")
         x = plant.a @ x + plant.b @ u_eff
-    return ScenarioDataset(records, labels, fault, prbs, plant.seed,
-                           n_loops=n_u)
+    return ScenarioDataset(records, labels, n_u)
 
 
 def snr_per_output(fault_records, normal_records, n_outputs, onset=0):

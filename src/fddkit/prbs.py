@@ -5,11 +5,11 @@ Angular frequencies are rad/s throughout; times are seconds.
 """
 
 from dataclasses import dataclass, asdict
-import json
 
 import numpy as np
 
-from .dataio import INTEGER, INTEGERS, LOOP, NUMBER, read_fields, read_json
+from .dataio import (INTEGER, INTEGERS, LOOP, NUMBER, read_fields, read_json,
+                     write_json)
 from .errors import ConfigError, DesignError, FormatError
 
 # Primitive-polynomial tap positions for a Fibonacci LFSR, by register length.
@@ -26,6 +26,8 @@ MAX_REGISTER = max(TAPS)
 # Injection defaults: 40-sample bursts every 4 h at a 3-minute sample time.
 DEFAULT_BURST_LEN = 40
 DEFAULT_BURST_INTERVAL = 80
+# The loop whose set-point a plan probes unless it names another.
+DEFAULT_TARGET = "loop1"
 
 
 @dataclass
@@ -58,7 +60,7 @@ class PrbsPlan:
     taps: tuple
     burst_len: int = DEFAULT_BURST_LEN
     burst_interval: int = DEFAULT_BURST_INTERVAL
-    target: str = ""
+    target: str = DEFAULT_TARGET
 
     def __post_init__(self):
         self.taps = tuple(self.taps)
@@ -101,7 +103,8 @@ def design_band(tau_ol, tau_cl, s_f=2.0, omega_nyquist=None):
 
 
 def plan_from_band(band, t_s, amplitude, burst_len=DEFAULT_BURST_LEN,
-                   burst_interval=DEFAULT_BURST_INTERVAL, target=""):
+                   burst_interval=DEFAULT_BURST_INTERVAL,
+                   target=DEFAULT_TARGET):
     """Turn a band into clock period and register length.
 
     The clock period is the largest multiple of the sample time t_s whose
@@ -215,9 +218,7 @@ def save_plan(plan, path):
     """Write a plan as a sorted-key JSON record."""
     rec = asdict(plan)
     rec["taps"] = list(plan.taps)
-    with open(path, "w") as fh:
-        json.dump(rec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, rec)
 
 
 def load_plan(path):

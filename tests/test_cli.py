@@ -20,6 +20,7 @@ from fddkit.pipeline import (default_excitation, evaluate_classifier,
                              fit_hierarchical, hierarchical_report,
                              scenario_batch)
 from fddkit.plant import default_plant
+from fddkit.prbs import TAPS, PrbsPlan, save_plan
 
 TINY_SURROGATE = {
     "classes": [0, 1, 2],
@@ -826,6 +827,19 @@ def test_surrogate_class_outside_the_fault_library_exits_one(
     assert "class 15" in err and "0 to 12" in err
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_incipient_class_outside_the_surrogate_classes_exits_one(
+        tmp_path, capsys, command):
+    # the default incipient classes 3, 9 and 11 are not in [0, 1, 2]
+    surr = {key: value for key, value in TINY_SURROGATE.items()
+            if key != "incipient"}
+    cfg = write_config(tmp_path / "c.json", {"seed": 1, "surrogate": surr})
+    argv = ({"train": ["train", "--mode", "flat"], "tune": ["tune"]}
+            [command] + ["--config", cfg, "--out", str(tmp_path / "out")])
+    err = _assert_one_line_exit_one(argv, capsys)
+    assert "incipient classes [3, 9, 11]" in err
+
+
 @pytest.mark.parametrize("mode", ["flat", "level1", "level2"])
 @pytest.mark.parametrize("part", ["train", "val"])
 def test_archive_label_outside_n_classes_exits_one(tmp_path, capsys, mode,
@@ -995,3 +1009,118 @@ def test_cli_trains_the_level_models_of_fit_hierarchical(tmp_path):
         for name in ("params.bin", "scaler.json"):
             assert (tmp_path / "cli" / mode / name).read_bytes() == \
                 (tmp_path / "lib" / mode / name).read_bytes()
+
+
+# The exact bytes of every JSON record besides scaler.json (pinned in
+# test_dataio.py): sorted keys, a two-space indent, a trailing newline.
+FROZEN_RECORDS = {
+    "plan.json": """{
+  "amplitude": 0.5,
+  "burst_interval": 20,
+  "burst_len": 10,
+  "n_register": 5,
+  "period": 31,
+  "t_clock": 6.0,
+  "taps": [
+    5,
+    3
+  ],
+  "target": "loop1"
+}
+""",
+    "model/config.json": """{
+  "batch_size": 64,
+  "decoder": [
+    2
+  ],
+  "encoder": [
+    3
+  ],
+  "epochs": 30,
+  "horizon": 4,
+  "lam1": 1.0,
+  "lam2": 1.0,
+  "lam3": 0.0001,
+  "learning_rate": 0.01,
+  "n_classes": 3,
+  "n_features": 2,
+  "seed": 0
+}
+""",
+    "report/summary.json": """{
+  "average_classes": [
+    1,
+    2
+  ],
+  "average_fdr": 0.75,
+  "far": 0.5,
+  "fdr_by_class": {
+    "0": 0.5,
+    "1": 1.0,
+    "2": 0.5
+  },
+  "metadata": {
+    "model": "m",
+    "seed": 1
+  },
+  "normal_class": 0
+}
+""",
+    "sim/meta.json": """{
+  "fault_class": null,
+  "horizon": 60,
+  "n_loops": 2,
+  "n_outputs": 8,
+  "prbs": false,
+  "seed": 1
+}
+""",
+    "arc/meta.json": """{
+  "contiguous": true,
+  "counts": {
+    "test": 4,
+    "train": 4,
+    "val": 3
+  },
+  "n_features": 2,
+  "seed": 1,
+  "window": 4
+}
+""",
+}
+
+
+def _write_record(name, tmp_path):
+    """Write the record FROZEN_RECORDS names with its own writer."""
+    if name == "plan.json":
+        save_plan(PrbsPlan(0.5, 6.0, 5, 31, TAPS[5], burst_len=10,
+                           burst_interval=20), tmp_path / name)
+    elif name == "model/config.json":
+        cfg = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
+                          n_classes=3, horizon=4, seed=0)
+        save_model(TrainedModel(cfg, build_params(cfg), [], None),
+                   tmp_path / "model")
+    elif name == "report/summary.json":
+        cm = confusion([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0], 3)
+        save_report(build_report(cm, normal=0,
+                                 metadata={"seed": 1, "model": "m"}),
+                    tmp_path / "report")
+    elif name == "sim/meta.json":
+        cfg = write_config(tmp_path / "sim.json", {"seed": 1, "horizon": 60})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "sim")]) == 0
+    else:
+        save_matrix(tmp_path / "data.txt", np.arange(40.0).reshape(20, 2) % 7)
+        save_labels(tmp_path / "labels.txt", np.repeat([0, 1], 10))
+        cfg = write_config(tmp_path / "ingest.json", {
+            "seed": 1, "data": str(tmp_path / "data.txt"),
+            "labels": str(tmp_path / "labels.txt"), "window": 4})
+        assert main(["ingest", "--config", cfg,
+                     "--out", str(tmp_path / "arc")]) == 0
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_json_record_bytes_are_pinned(tmp_path, name):
+    path = _write_record(name, tmp_path)
+    assert path.read_bytes() == FROZEN_RECORDS[name].encode("ascii")

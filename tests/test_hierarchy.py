@@ -7,7 +7,7 @@ from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import ConfigError
 from fddkit.hierarchy import MODES, HierarchicalModel, LabelMap
 from fddkit.model import ModelConfig, TrainedModel, build_params
-from fddkit.pipeline import hierarchical_report
+from fddkit.pipeline import hierarchical_report, infer_with_twins
 
 
 def test_regroup_thirteen_classes():
@@ -90,11 +90,12 @@ def test_routing_reaches_level2():
     level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=2)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 3, 9, 11, 1])
-    preds = model.infer_batch(batch.windows)
+    preds = infer_with_twins(model, batch, batch)
     # level 1 always says "merged", level 2 always says its class 2,
     # which is original class 9
     assert preds.tolist() == [9, 9, 9, 9, 9]
-    assert model.infer_batch(batch.windows[:1]).tolist() == [9]
+    first = batch.take([0])
+    assert infer_with_twins(model, first, first).tolist() == [9]
 
 
 def test_routing_skips_level2_for_plain_faults():
@@ -102,7 +103,8 @@ def test_routing_skips_level2_for_plain_faults():
     level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=3)
     level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=1)
     model = HierarchicalModel(level1, level2, lmap)
-    preds = model.infer_batch(_toy_batch([0, 1, 2]).windows)
+    batch = _toy_batch([0, 1, 2])
+    preds = infer_with_twins(model, batch, batch)
     # level-1 class 3 is original class 4; level 2 never consulted
     assert preds.tolist() == [4, 4, 4]
 
@@ -117,7 +119,7 @@ def test_per_level_scalers_are_honored():
                              scaler=s2)
     model = HierarchicalModel(level1, level2, lmap)
     batch = _toy_batch([0, 0])
-    got = model.infer_batch(batch.windows)
+    got = infer_with_twins(model, batch, batch)
     # the constant head ignores features, so this checks the plumbing
     # runs the level-2 scaler without touching level-1 inputs
     assert got.tolist() == [1, 1]
@@ -126,7 +128,7 @@ def test_per_level_scalers_are_honored():
                                       batch.windows)
 
 
-def test_infer_batch_routes_level2_on_its_own_windows_by_default():
+def test_infer_with_twins_routes_level2_on_the_quiet_batch_given_twice():
     lmap = LabelMap((3, 9, 11), 13)
     cfg1 = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
                        n_classes=lmap.n_classes("level1"), horizon=4, seed=1)
@@ -137,13 +139,30 @@ def test_infer_batch_routes_level2_on_its_own_windows_by_default():
     level2 = TrainedModel(cfg2, build_params(cfg2), [],
                           Scaler(mean=[-0.5, 1.0], std=[0.5, 2.0]))
     model = HierarchicalModel(level1, level2, lmap)
-    w = _toy_batch(np.zeros(64, dtype=int), seed=3).windows
-    routed = level1.predict(w) == 0
+    batch = _toy_batch(np.zeros(64, dtype=int), seed=3)
+    w = batch.windows
+    pred1 = level1.predict(w)
+    routed = pred1 == 0
     assert 0 < routed.sum() < len(w)   # both paths are exercised
-    np.testing.assert_array_equal(model.infer_batch(w),
-                                  model.infer_batch(w, probed=w))
+    expect = lmap.from_level1(pred1)
+    expect[routed] = lmap.from_level2(level2.predict(w[routed]))
+    np.testing.assert_array_equal(infer_with_twins(model, batch, batch),
+                                  expect)
     with pytest.raises(ConfigError, match="twin batches do not align"):
-        model.infer_batch(w, probed=w[:-1])
+        infer_with_twins(model, batch, batch.take(np.arange(63)))
+
+
+@pytest.mark.parametrize("cut", ["horizon", "features"])
+def test_infer_with_twins_rejects_twins_whose_window_shapes_differ(cut):
+    lmap = LabelMap((3, 9, 11), 13)
+    level1 = _constant_model(2, lmap.n_classes("level1"), 4, favored=0)
+    level2 = _constant_model(2, lmap.n_classes("level2"), 4, favored=2)
+    model = HierarchicalModel(level1, level2, lmap)
+    batch = _toy_batch([0, 3, 9])
+    w = batch.windows[:, :-1] if cut == "horizon" else batch.windows[..., :1]
+    # the labels agree; only the windows' shape gives the misfit away
+    with pytest.raises(ConfigError, match="twin batches do not align"):
+        infer_with_twins(model, batch, WindowBatch(w, batch.labels))
 
 
 def test_merged_subset_filters_and_relabels():

@@ -3,13 +3,15 @@
 import dataclasses
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
 from fddkit.errors import ConfigError
-from fddkit.plant import default_plant
+from fddkit.hierarchy import LabelMap
+from fddkit.plant import INCIPIENT_CLASSES, default_plant
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
                              evaluate_classifier, evaluate_hierarchical,
                              excitation_gain, fit_classifier, fit_flat,
@@ -134,6 +136,27 @@ def test_spec_rejects_a_class_outside_the_fault_library(cls):
         ExperimentSpec(classes=(0, cls))
 
 
+@pytest.mark.parametrize("classes, incipient, missing", [
+    ((0, 1, 2, 5), (3,), [3]),
+    ((0, 1, 2), INCIPIENT_CLASSES, [3, 9, 11]),
+])
+def test_spec_rejects_incipient_classes_outside_its_classes(
+        classes, incipient, missing):
+    # level 2 would simulate classes the router never sees, and a flat
+    # fit would fail only after simulating its training split
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"incipient classes {missing}")):
+        ExperimentSpec(classes=classes, incipient=incipient)
+
+
+def test_spec_builds_its_label_map_once():
+    assert SMALL_HIER.label_map is SMALL_HIER.label_map
+    assert SMALL_HIER.label_map == LabelMap((3, 11), 12)
+    spec = dataclasses.replace(SMALL_HIER, incipient=(3,))
+    assert spec.label_map == LabelMap((3,), 12)
+    assert "label_map" not in repr(spec)
+
+
 def test_fit_and_evaluate_flat():
     model = fit_flat(1, TINY)
     assert model.config.n_classes == 2
@@ -184,7 +207,7 @@ def test_infer_with_twins_matches_hand_composed_reference():
     got = infer_with_twins(hmodel, quiet, probed)
     np.testing.assert_array_equal(got, expect)
     # level 2 read the probed rows: on the quiet rows it answers otherwise
-    assert not np.array_equal(got, hmodel.infer_batch(quiet.windows))
+    assert not np.array_equal(got, infer_with_twins(hmodel, quiet, quiet))
 
 
 def test_level2_accuracies_keys():

@@ -164,6 +164,19 @@ def default_excitation(amplitude=0.4, target="loop1"):
     return plan_from_band(band, 180.0, amplitude=amplitude, target=target)
 
 
+def test_a_plan_built_with_the_defaults_probes_loop1():
+    band = BandSpec(0.000278, 2.8 / 360.0 * 0.999,
+                    omega_nyquist=np.pi / 180.0)
+    plan = plan_from_band(band, 180.0, amplitude=0.4)
+    assert plan.target == "loop1"
+    fault = default_fault_library()[3]
+    got, want = (simulate_scenario(default_plant(seed=2), fault=fault,
+                                   prbs=p, horizon=200)
+                 for p in (plan, default_excitation(target="loop1")))
+    assert got.records.tobytes() == want.records.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
 def test_superposition_for_additive_faults():
     """Linear plant + additive fault: excitation response is identical
     with and without the fault, so excitation alone cannot help."""
