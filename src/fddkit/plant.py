@@ -8,7 +8,7 @@ variables, one row per sample, so a sticky valve's true position never
 appears directly in the data.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,6 +196,11 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
     the controller and the record see; actuator-site faults act between
     the commanded and the effective input, and only the command is
     recorded. Deterministic given plant.seed.
+
+    Divergence: if any record entry exceeds DIVERGENCE_LIMIT (1e6) in
+    magnitude, NumericDivergenceError names the first sample that has
+    one. The check runs once, after the loop, so a diverging run costs
+    its full horizon.
     """
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
@@ -205,38 +210,51 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
             raise ConfigError(f"fault target {fault.target} outside the "
                               f"{fault.site} indices [0, {n})")
     x, u_star = equilibrium(plant)
-    x = x.copy()
     n_y, n_u = plant.n_outputs, plant.n_loops
-    integ = u_star / np.asarray(plant.ki, dtype=np.float64)
+    a, b, c = plant.a, plant.b, plant.c
+    ki = np.asarray(plant.ki, dtype=np.float64)
+    integ = (u_star / ki).tolist()
+    loops = list(zip(range(n_u), plant.controlled,
+                     np.asarray(plant.kp, dtype=np.float64).tolist(),
+                     ki.tolist()))
     noise_rng = np.random.default_rng([plant.seed, 0])
     noise = noise_rng.normal(0.0, 1.0, size=(horizon, n_y)) * plant.noise_std
     fstate = FaultState(rng=np.random.default_rng([plant.seed, 1]))
-    offsets = _prbs_injection(plant, prbs, horizon)
+    targets = (np.asarray(plant.setpoints, dtype=np.float64)
+               + _prbs_injection(plant, prbs, horizon)).tolist()
+    sensor = fault is not None and fault.site == "sensor"
+    actuator = fault is not None and fault.site == "actuator"
 
-    records = np.empty((horizon, n_y + n_u))
-    labels = np.zeros(horizon, dtype=np.int64)
-    u_cmd = np.empty(n_u)
-    ctrl = list(plant.controlled)
-    for t in range(horizon):
-        y = plant.c @ x + noise[t]
-        if fault is not None and fault.site == "sensor":
-            y[fault.target] = apply_fault(y[fault.target], t, fault, fstate)
-        for j in range(n_u):
-            err = plant.setpoints[j] + offsets[t, j] - y[ctrl[j]]
-            integ[j] += err
-            u_cmd[j] = plant.kp[j] * err + plant.ki[j] * integ[j]
-        u_eff = u_cmd.copy()
-        if fault is not None and fault.site == "actuator":
-            u_eff[fault.target] = apply_fault(u_cmd[fault.target], t, fault,
+    # The PI law runs on Python floats: the same IEEE double operations,
+    # in the same order, as on numpy scalars, at a fraction of the cost.
+    # The two products keep their operands and shapes, since a change to
+    # either alters the rounding (tests/test_plant.py pins the bits). A
+    # diverging run overflows quietly here and is caught below.
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (noise_t, target_t) in enumerate(zip(noise, targets)):
+            y = (c @ x + noise_t).tolist()
+            if sensor:
+                y[fault.target] = apply_fault(y[fault.target], t, fault,
                                               fstate)
-        records[t, :n_y] = y
-        records[t, n_y:] = u_cmd
-        if fault is not None and t >= fault.onset:
-            labels[t] = fault.fault_class
-        if np.max(np.abs(records[t])) > DIVERGENCE_LIMIT:
-            raise NumericDivergenceError(
-                f"simulation diverged at sample {t}")
-        x = plant.a @ x + plant.b @ u_eff
+            u_cmd = []
+            for j, k, kp_j, ki_j in loops:
+                err = target_t[j] - y[k]
+                integ[j] += err
+                u_cmd.append(kp_j * err + ki_j * integ[j])
+            rows.append(y + u_cmd)
+            if actuator:
+                u_cmd[fault.target] = apply_fault(u_cmd[fault.target], t,
+                                                  fault, fstate)
+            x = a @ x + b @ u_cmd
+        records = np.array(rows, dtype=np.float64)
+        diverged = np.max(np.abs(records), axis=1) > DIVERGENCE_LIMIT
+    if diverged.any():
+        raise NumericDivergenceError(
+            f"simulation diverged at sample {int(np.argmax(diverged))}")
+    labels = np.zeros(horizon, dtype=np.int64)
+    if fault is not None:
+        labels[np.arange(horizon) >= fault.onset] = fault.fault_class
     return ScenarioDataset(records, labels, n_u)
 
 

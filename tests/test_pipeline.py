@@ -14,7 +14,7 @@ from fddkit.hierarchy import LabelMap
 from fddkit.plant import INCIPIENT_CLASSES, default_plant
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
                              evaluate_classifier, evaluate_hierarchical,
-                             excitation_gain, fit_classifier, fit_flat,
+                             excitation_gain, fit_flat,
                              fit_hierarchical, infer_with_twins,
                              level2_accuracies, scenario_batch,
                              classifier_config, surrogate_benchmark,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fddkit.errors import ConfigError, NumericDivergenceError
-from fddkit.plant import (FaultSpec, FaultState, INCIPIENT_CLASSES,
+from fddkit.plant import (DIVERGENCE_LIMIT, FaultSpec, FaultState,
+                          INCIPIENT_CLASSES, ScenarioDataset, _prbs_injection,
                           apply_fault, default_fault_library, default_plant,
                           equilibrium, simulate_scenario, snr_per_output)
 from fddkit.prbs import BandSpec, plan_from_band
@@ -152,16 +153,101 @@ def test_runs_are_deterministic():
 
 
 def test_divergence_error_names_the_sample():
-    fault = FaultSpec("step", target=0, magnitude=5e7, onset=10,
-                      site="actuator")
-    with pytest.raises(NumericDivergenceError, match=r"sample \d+"):
-        simulate_scenario(default_plant(seed=0), fault=fault, horizon=100)
+    # The actuator step reaches the records through the state, one sample
+    # after its onset; the sensor step shows at its onset.
+    cases = [
+        (FaultSpec("step", target=0, magnitude=5e7, onset=10,
+                   site="actuator"), 11),
+        (FaultSpec("step", target=2, magnitude=1e300, onset=10), 10),
+    ]
+    for fault, sample in cases:
+        with pytest.raises(NumericDivergenceError,
+                           match=rf"^simulation diverged at sample {sample}$"):
+            simulate_scenario(default_plant(seed=0), fault=fault,
+                              horizon=100)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_run_that_overflows_to_inf_raises_the_same_error_quietly():
+    # Proportional gains this high make the closed loop unstable: the
+    # records pass the limit at sample 6 and overflow to inf and NaN long
+    # before sample 5000, and no floating-point warning escapes the run.
+    plant = dataclasses.replace(default_plant(seed=0), kp=(40.0, 40.0))
+    with pytest.raises(NumericDivergenceError,
+                       match=r"^simulation diverged at sample 6$"):
+        simulate_scenario(plant, horizon=5000)
 
 
 def default_excitation(amplitude=0.4, target="loop1"):
     band = BandSpec(0.000278, 2.8 / 360.0 * 0.999,
                     omega_nyquist=np.pi / 180.0)
     return plan_from_band(band, 180.0, amplitude=amplitude, target=target)
+
+
+def reference_simulate_scenario(plant, fault=None, prbs=None, horizon=500):
+    """The per-sample loop simulate_scenario replaced, kept as written.
+
+    Its PI law runs on numpy scalars and it checks for divergence at
+    every sample; the records and labels must match it byte for byte.
+    """
+    if horizon < 1:
+        raise ConfigError("horizon must be at least 1")
+    if fault is not None:
+        n = plant.n_outputs if fault.site == "sensor" else plant.n_loops
+        if not 0 <= fault.target < n:
+            raise ConfigError(f"fault target {fault.target} outside the "
+                              f"{fault.site} indices [0, {n})")
+    x, u_star = equilibrium(plant)
+    x = x.copy()
+    n_y, n_u = plant.n_outputs, plant.n_loops
+    integ = u_star / np.asarray(plant.ki, dtype=np.float64)
+    noise_rng = np.random.default_rng([plant.seed, 0])
+    noise = noise_rng.normal(0.0, 1.0, size=(horizon, n_y)) * plant.noise_std
+    fstate = FaultState(rng=np.random.default_rng([plant.seed, 1]))
+    offsets = _prbs_injection(plant, prbs, horizon)
+
+    records = np.empty((horizon, n_y + n_u))
+    labels = np.zeros(horizon, dtype=np.int64)
+    u_cmd = np.empty(n_u)
+    ctrl = list(plant.controlled)
+    for t in range(horizon):
+        y = plant.c @ x + noise[t]
+        if fault is not None and fault.site == "sensor":
+            y[fault.target] = apply_fault(y[fault.target], t, fault, fstate)
+        for j in range(n_u):
+            err = plant.setpoints[j] + offsets[t, j] - y[ctrl[j]]
+            integ[j] += err
+            u_cmd[j] = plant.kp[j] * err + plant.ki[j] * integ[j]
+        u_eff = u_cmd.copy()
+        if fault is not None and fault.site == "actuator":
+            u_eff[fault.target] = apply_fault(u_cmd[fault.target], t, fault,
+                                              fstate)
+        records[t, :n_y] = y
+        records[t, n_y:] = u_cmd
+        if fault is not None and t >= fault.onset:
+            labels[t] = fault.fault_class
+        if np.max(np.abs(records[t])) > DIVERGENCE_LIMIT:
+            raise NumericDivergenceError(
+                f"simulation diverged at sample {t}")
+        x = plant.a @ x + plant.b @ u_eff
+    return ScenarioDataset(records, labels, n_u)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("probed", [False, True])
+def test_records_match_the_reference_loop_byte_for_byte(seed, probed):
+    plan = default_excitation() if probed else None
+    faults = [None] + [spec for _, spec in
+                       sorted(default_fault_library().items())]
+    for fault in faults:
+        got, want = (sim(default_plant(seed=seed), fault=fault, prbs=plan,
+                         horizon=500)
+                     for sim in (simulate_scenario,
+                                 reference_simulate_scenario))
+        assert got.records.tobytes() == want.records.tobytes(), fault
+        assert got.labels.tobytes() == want.labels.tobytes(), fault
+        assert got.records.shape == want.records.shape
+        assert got.labels.dtype == want.labels.dtype
 
 
 def test_a_plan_built_with_the_defaults_probes_loop1():
