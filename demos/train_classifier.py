@@ -6,9 +6,9 @@ the final-timestep latent. Takes roughly half a minute.
 """
 
 from fddkit.metrics import format_report
+from fddkit.model import train
 from fddkit.pipeline import (ExperimentSpec, classifier_config,
-                             evaluate_classifier, fit_classifier,
-                             scenario_batch)
+                             evaluate_classifier, scenario_batch)
 
 spec = ExperimentSpec(classes=(0, 1, 2, 5, 10), incipient=(),
                       n_series=1, horizon=300, epochs=10)
@@ -19,8 +19,9 @@ test_b = scenario_batch(seed=1, split="test", spec=spec)
 print(f"windows: {len(train_b)} train / {len(val_b)} val / "
       f"{len(test_b)} test")
 
-config = classifier_config(n_classes=11, seed=1, spec=spec)
-model = fit_classifier(train_b, config, val_batch=val_b)
+config = classifier_config(n_classes=11, seed=1, spec=spec,
+                           n_features=train_b.n_features)
+model = train(train_b, val_b, config)
 
 for row in model.history[::3]:
     print(f"epoch {row['epoch']:2d}  loss {row['loss']:.4f}  "

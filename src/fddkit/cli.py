@@ -22,11 +22,11 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
 from .errors import ConfigError, FddError, FormatError, NumericError
 from .hierarchy import MODES, HierarchicalModel, LabelMap, check_mode
 from .metrics import format_report, load_report, save_report
-from .model import MODEL_FIELDS, load_model, save_model
+from .model import (DEFAULT_BUDGET, DEFAULT_SEARCH_SPACE, MODEL_FIELDS,
+                    load_model, save_model, train, tune)
 from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
-                       fit_classifier, hierarchical_report, scenario_batch,
-                       tune_classifier)
+                       hierarchical_report, scenario_batch)
 from .plant import (FaultSpec, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
 from .prbs import (DEFAULT_TARGET, BandSpec, design_band, load_plan,
@@ -81,8 +81,11 @@ def _load_config(path, required=(), **kinds):
         cfg = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return read_fields(cfg, {**CONFIG, **kinds}, "config", ConfigError,
-                       required=("seed", *required))
+    cfg = read_fields(cfg, {**CONFIG, **kinds}, "config", ConfigError,
+                      required=("seed", *required))
+    if cfg["seed"] < 0:   # numpy's generators take no negative seed
+        raise ConfigError(f"config key 'seed' must be >= 0, not {cfg['seed']}")
+    return cfg
 
 
 def _given(node, *keys):
@@ -226,9 +229,13 @@ def cmd_ingest(args):
 
 def _load_array(path):
     """A numeric array from a .npy file; FormatError if it holds none."""
+    from tokenize import TokenError   # a damaged header's shape tuple
     try:
+        # a memory map checks the declared size against the file first
+        np.load(path, mmap_mode="r")
         arr = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, EOFError, OverflowError, TokenError,
+            zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a numeric .npy array ({exc})") from None
     if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":
         raise FormatError(f"{path}: not a numeric .npy array")
@@ -307,7 +314,7 @@ def cmd_train(args):
     seed = cfg["seed"]
     train_b, val_b, n_classes, spec = _training_data(cfg, args.mode, seed)
     mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
-    model = fit_classifier(train_b, mcfg, val_b)
+    model = train(train_b, val_b, mcfg)
     out = _out_dir(args)
     save_model(model, out)
     last = model.history[-1]["loss"] if model.history else float("nan")
@@ -325,11 +332,10 @@ def cmd_tune(args):
     if val_b is None:
         raise ConfigError(f"no val split under {cfg['archive']} to tune on")
     mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
-    space = cfg.get("search_space")
-    if space is not None:
-        space = read_fields(space, SEARCH_SPACE, "search_space", ConfigError)
-    model = tune_classifier(train_b, val_b, mcfg, search_space=space,
-                            **_given(cfg, "budget"))
+    space = read_fields(cfg.get("search_space", DEFAULT_SEARCH_SPACE),
+                        SEARCH_SPACE, "search_space", ConfigError)
+    best = tune(train_b, val_b, space, cfg.get("budget", DEFAULT_BUDGET), mcfg)
+    model = train(train_b, val_b, best)
     out = _out_dir(args)
     save_model(model, out)
     print(f"tuned model: learning_rate={model.config.learning_rate}")

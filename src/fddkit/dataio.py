@@ -53,7 +53,13 @@ class Scaler:
             raise DimensionError(
                 f"scaler fitted on {self.mean.size} columns, data has "
                 f"{data.shape[-1]}")
-        return (data - self.mean) / self.std
+        # an overflow here is a scaler unfit for the data, not a divergence
+        try:
+            with np.errstate(over="raise"):
+                return (data - self.mean) / self.std
+        except FloatingPointError:
+            raise FormatError("standardizing with the scaler overflows "
+                              "float64: it does not fit this data") from None
 
     def save(self, path):
         """Write mean and std as a JSON record (scaler.json)."""

@@ -35,6 +35,8 @@ F32_WEIGHT_LIMIT = float(np.sqrt(np.finfo(np.float32).max))
 # Learning-rate grid searched by default; the other fields stay at the
 # base config unless a search space overrides them.
 DEFAULT_SEARCH_SPACE = {"learning_rate": [1e-1, 2e-1, 3e-1, 1e-2]}
+# Configs that `fddkit tune` samples when its config names no budget.
+DEFAULT_BUDGET = 4
 
 # Epochs of the first successive-halving stage; each later stage doubles it.
 STAGE_EPOCHS = 2
@@ -225,9 +227,10 @@ def batch_accuracy(params, batch):
 
 @dataclass
 class TrainedModel:
-    """Frozen training outcome. The parameters were fitted on windows
-    standardized by scaler (None: used as given), and predict applies
-    that scaler itself, so callers pass raw windows."""
+    """Frozen training outcome. train fits scaler on the training
+    windows, and predict applies it, so callers pass raw windows; None
+    (a model built by hand or saved without scaler.json) uses them as
+    given."""
 
     config: ModelConfig
     params: ParamSet
@@ -257,13 +260,14 @@ def _step_params(params, epoch):
     return params.astype(np.float32)
 
 
-def train(train_batch, val_batch, config, scaler=None):
-    """Minibatch Adam on the composite loss.
-
-    Shuffling, initialization, and therefore the whole run are fixed by
-    config.seed. When a validation batch is given, the returned parameters
-    are the epoch snapshot with the best validation accuracy (earliest
-    epoch on ties); otherwise the final parameters.
+def train(train_batch, val_batch, config):
+    """Minibatch Adam on the composite loss, on raw windows: a Scaler
+    fitted on the training windows standardizes both batches, and the
+    returned model carries it. Shuffling, initialization, and therefore
+    the whole run are fixed by config.seed. When a validation batch is
+    given, the returned parameters are the epoch snapshot with the best
+    validation accuracy (earliest epoch on ties); otherwise the final
+    parameters.
 
     Mixed precision: each minibatch's loss and gradients are computed in
     float32, on float32 copies of the parameters and of the gathered
@@ -278,13 +282,16 @@ def train(train_batch, val_batch, config, scaler=None):
         raise ConfigError("training batch is empty")
     if train_batch.n_features != config.n_features:
         raise DimensionError("training data feature count differs from config")
+    scaler = Scaler.fit(train_batch.windows)
+    train_batch = train_batch.scaled(scaler)
+    use_val = val_batch is not None and len(val_batch) > 0
+    val_batch = val_batch.scaled(scaler) if use_val else None
     params = build_params(config)
     state = init_adam(params)
     rng = np.random.default_rng([config.seed, 1])
     n = len(train_batch)
     history = []
     best_acc, best_params = -1.0, None
-    use_val = val_batch is not None and len(val_batch) > 0
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Scaler, concat_batches, make_windows
+from .dataio import concat_batches, make_windows
 from .errors import ConfigError
 from .hierarchy import HierarchicalModel, LabelMap, check_mode
 from .metrics import build_report, confusion
-from .model import (DEFAULT_SEARCH_SPACE, ModelConfig, train, tune)
+from .model import ModelConfig, train
 from .plant import (INCIPIENT_CLASSES, _target_loop, default_fault_library,
                     default_plant, simulate_scenario)
 from .prbs import DEFAULT_TARGET, design_band, plan_from_band
@@ -113,8 +113,8 @@ def scenario_batch(seed, split, spec=ExperimentSpec(), mode="flat",
     return spec.label_map.relabel(concat_batches(parts), mode)
 
 
-def classifier_config(n_classes, seed, spec=ExperimentSpec(),
-                      n_features=10):
+def classifier_config(n_classes, seed, spec=ExperimentSpec(), *,
+                      n_features):
     decoder = spec.decoder if spec.decoder is not None else (n_features,)
     return ModelConfig(
         encoder=tuple(spec.encoder),
@@ -129,29 +129,6 @@ def classifier_config(n_classes, seed, spec=ExperimentSpec(),
     )
 
 
-def _standardized(batch):
-    """The batch standardized on its own statistics, and that scaler."""
-    scaler = Scaler.fit(batch.windows)
-    return batch.scaled(scaler), scaler
-
-
-def fit_classifier(train_batch, config, val_batch=None):
-    """Standardize on the training split, then train."""
-    scaled_train, scaler = _standardized(train_batch)
-    scaled_val = val_batch.scaled(scaler) if val_batch is not None else None
-    return train(scaled_train, scaled_val, config, scaler=scaler)
-
-
-def tune_classifier(train_batch, val_batch, config, search_space=None,
-                    budget=4):
-    """Successive-halving search, then a full fit at the winning config."""
-    scaled_train, scaler = _standardized(train_batch)
-    space = DEFAULT_SEARCH_SPACE if search_space is None else search_space
-    scaled_val = val_batch.scaled(scaler)
-    best = tune(scaled_train, scaled_val, space, budget, config)
-    return train(scaled_train, scaled_val, best, scaler=scaler)
-
-
 def evaluate_classifier(model, batch, metadata=None):
     preds = model.predict(batch)
     cm = confusion(batch.labels, preds, model.config.n_classes)
@@ -164,17 +141,17 @@ def fit_flat(seed, spec=ExperimentSpec()):
 
 def _fit_split(mode, seed, spec, prbs=None):
     """The mode's classifier on the mode's training split, which is
-    simulated and standardized here, in the fit's own worker."""
-    return _fit(mode, seed, spec, *_standardized(
-        scenario_batch(seed, "train", spec, mode, prbs)))
+    simulated here, in the fit's own worker."""
+    return _fit(mode, seed, spec,
+                scenario_batch(seed, "train", spec, mode, prbs))
 
 
-def _fit(mode, seed, spec, scaled_train, scaler):
-    """The mode's classifier on a standardized training split that
-    already carries the mode's labels."""
+def _fit(mode, seed, spec, train_batch):
+    """The mode's classifier on a raw training split that already
+    carries the mode's labels."""
     cfg = classifier_config(spec.label_map.n_classes(mode), seed, spec,
-                            n_features=scaled_train.n_features)
-    return train(scaled_train, None, cfg, scaler=scaler)
+                            n_features=train_batch.n_features)
+    return train(train_batch, None, cfg)
 
 
 def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
@@ -348,20 +325,19 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
     plain = [c for c in spec.classes if c != 0 and c not in incip]
     rows = []
     for seed in seeds:
-        # each quiet split is simulated and the training split
-        # standardized once, for the flat and the two-level model alike
-        scaled_train, scaler = _standardized(
-            scenario_batch(seed, "train", spec))
-        level1_train = spec.label_map.relabel(scaled_train, "level1")
+        # each quiet split is simulated once, for the flat and the
+        # two-level model alike
+        train_b = scenario_batch(seed, "train", spec)
+        level1_train = spec.label_map.relabel(train_b, "level1")
         flat, level1, level2, level2_probed = _fit_all([
-            (_fit, ("flat", seed, spec, scaled_train, scaler)),
-            (_fit, ("level1", seed, spec, level1_train, scaler)),
+            (_fit, ("flat", seed, spec, train_b)),
+            (_fit, ("level1", seed, spec, level1_train)),
             (_fit_split, ("level2", seed, spec)),
             (_fit_split, ("level2", seed, spec, plan)),
         ])
         # this process only scores from here on, and its peak memory is
         # set by the test-split predictions below
-        del scaled_train, level1_train
+        del train_b, level1_train
         test_b = scenario_batch(seed, "test", spec)
         flat_report = evaluate_classifier(flat, test_b)
         hier_report = hierarchical_report(

@@ -197,11 +197,11 @@ def test_tune_cli(tmp_path):
 def test_tune_level2_validates_on_its_training_recipe(tmp_path, monkeypatch):
     seen = {}
 
-    def fake_tune(train_b, val_b, config, search_space=None, budget=4):
+    def fake_tune(train_b, val_b, search_space, budget, base):
         seen["train"], seen["val"] = train_b, val_b
-        return TrainedModel(config, build_params(config), [], None)
+        return base
 
-    monkeypatch.setattr(fddkit.cli, "tune_classifier", fake_tune)
+    monkeypatch.setattr(fddkit.cli, "tune", fake_tune)
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
             "incipient": [3, 11], "n_series_level2": 2}
     cfg = write_config(tmp_path / "tune.json",
@@ -361,6 +361,89 @@ def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
         assert "scaler" in _assert_one_line_exit_one(
             ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
             + mode, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_model_scaler_that_overflows_the_windows_exits_one(tmp_path,
+                                                           capsys):
+    model_dir = _saved_model(tmp_path / "model")
+    scaler = json.loads((model_dir / "scaler.json").read_text())
+    scaler["mean"][0], scaler["std"][0] = 1e308, 1e-300
+    (model_dir / "scaler.json").write_text(json.dumps(scaler))
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir)})
+    assert "scaler" in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ingest_scaler_that_overflows_the_windows_exits_one(tmp_path,
+                                                            capsys):
+    sim = write_config(tmp_path / "sim.json", {"seed": 4, "horizon": 60})
+    raw = tmp_path / "raw"
+    assert main(["simulate", "--config", sim, "--out", str(raw)]) == 0
+    mean = [0.0] * 10
+    mean[0], mean[1] = 1e308, -1e308
+    Scaler(mean, [0.5] * 10).save(tmp_path / "scaler.json")
+    ing = write_config(tmp_path / "ingest.json", {
+        "seed": 4, "data": str(raw / "records.txt"),
+        "labels": str(raw / "labels.txt"), "window": 10,
+        "scaler": str(tmp_path / "scaler.json")})
+    assert "scaler" in _assert_one_line_exit_one(
+        ["ingest", "--config", ing, "--out", str(tmp_path / "arc")], capsys)
+
+
+def _with_shape(blob, old, new):
+    """A .npy file's bytes with its header's shape text replaced and the
+    header's padding adjusted, so its length and the data stay put."""
+    end = blob.index(b"\n", blob.index(b"}"))
+    header = blob[:end].replace(old, new).rstrip(b" ")
+    return header + b" " * (end - len(header)) + blob[end:]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [b"(N, 10, 10", b"(99999999999, 10, 10)",
+                                   b"(9999999999999999999, 10, 10)"],
+                         ids=["unbalanced", "unallocatable", "overflowing"])
+def test_npy_header_with_a_bad_shape_exits_one(tmp_path, capsys, shape):
+    sim = write_config(tmp_path / "sim.json",
+                       {"seed": 3, "horizon": 120,
+                        "fault": {"class": 1, "onset": 40}})
+    raw = tmp_path / "raw"
+    assert main(["simulate", "--config", sim, "--out", str(raw)]) == 0
+    ing = write_config(tmp_path / "ingest.json", {
+        "seed": 3, "data": str(raw / "records.txt"),
+        "labels": str(raw / "labels.txt"), "window": 10})
+    arc = tmp_path / "arc"
+    assert main(["ingest", "--config", ing, "--out", str(arc)]) == 0
+    path = arc / "test_windows.npy"
+    n = json.loads((arc / "meta.json").read_text())["counts"]["test"]
+    old = b"(%d, 10, 10)" % n
+    path.write_bytes(_with_shape(path.read_bytes(), old,
+                                 shape.replace(b"N", b"%d" % n)))
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 3, "archive": str(arc),
+                       "model": str(_saved_model(tmp_path / "model"))})
+    assert path.name in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["simulate"], {"horizon": 50}),
+    (["ingest"], {"data": "d.txt", "labels": "l.txt", "window": 5}),
+    (["train", "--mode", "flat"], {"archive": "arc"}),
+    (["tune"], {}),
+    (["evaluate"], {"model": "m"}),
+    (["prbs", "design"], {}),
+    (["report"], {"report": "r"}),
+], ids=["simulate", "ingest", "train", "tune", "evaluate", "prbs-design",
+        "report"])
+def test_negative_seed_exits_one_naming_it(tmp_path, capsys, argv, extra):
+    cfg = write_config(tmp_path / "c.json", {"seed": -3, **extra})
+    out = [] if argv == ["report"] else ["--out", str(tmp_path / "out")]
+    err = _assert_one_line_exit_one([*argv, "--config", cfg, *out], capsys)
+    assert err.startswith("fddkit: config key 'seed'")
 
 
 @pytest.mark.parametrize("name, text", [

@@ -11,7 +11,7 @@ from fddkit.errors import (ConfigError, DimensionError,
                            NumericDivergenceError)
 import fddkit.model
 from fddkit.model import (DEFAULT_SEARCH_SPACE, ModelConfig, TrainedModel,
-                          batch_accuracy, build_params, load_model,
+                          build_params, load_model,
                           loss_and_grads, model_forward, predict,
                           predict_proba, sae_loss, save_model, train, tune)
 from fddkit.recurrent import finite_diff_grad, max_rel_error
@@ -204,12 +204,17 @@ def test_train_zero_epochs_returns_init():
     assert model.history == []
 
 
+def accuracy(model, batch):
+    """Accuracy of a trained model on raw windows, through its scaler."""
+    return float(np.mean(model.predict(batch) == batch.labels))
+
+
 def test_train_descends_and_overfits_toy_task():
     batch = toy_batch()
     cfg = tiny_config(epochs=500, learning_rate=0.05)
     model = train(batch, None, cfg)
     assert model.history[-1]["loss"] < model.history[0]["loss"]
-    assert batch_accuracy(model.params, batch) == 1.0
+    assert accuracy(model, batch) == 1.0
     assert len(model.history) == 500
 
 
@@ -230,7 +235,31 @@ def test_train_returns_best_validation_snapshot():
     cfg = tiny_config(epochs=12, learning_rate=0.08)
     model = train(train_b, val_b, cfg)
     best_hist = max(h["val_accuracy"] for h in model.history)
-    assert batch_accuracy(model.params, val_b) == best_hist
+    assert accuracy(model, val_b) == best_hist
+
+
+def test_train_fits_its_scaler_on_the_training_windows():
+    # shifted and stretched, so standardizing is far from the identity
+    raw = toy_batch(n_per_class=6, seed=7)
+    raw = WindowBatch(3.0 + 4.0 * raw.windows, raw.labels)
+    model = train(raw, None, tiny_config(epochs=2))
+    expect = Scaler.fit(raw.windows)
+    assert model.scaler.mean.tobytes() == expect.mean.tobytes()
+    assert model.scaler.std.tobytes() == expect.std.tobytes()
+
+
+def test_train_gives_the_bits_of_standardize_then_train():
+    # SHA-256 of the parameter bytes that fitting a Scaler on the
+    # training windows, scaling both batches with it and training on them
+    # gave before train standardized its input itself (single-threaded)
+    model = train(toy_batch(n_per_class=6, seed=7),
+                  toy_batch(n_per_class=3, seed=8),
+                  tiny_config(epochs=6, batch_size=4))
+    digest = hashlib.sha256()
+    for a in model.params.flat_arrays():
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == \
+        "405b140ca004b23f6b15aa127c7124d1ceef0dfff73f4a8a1592789f737a2f74"
 
 
 def test_train_raises_on_divergence():
@@ -353,7 +382,7 @@ def test_tune_scores_trials_from_training_history(monkeypatch):
         cfg = replace(base, seed=base.seed + rec["trial"],
                       learning_rate=0.05, epochs=rec["stage_epochs"])
         model = train(train_b, val_b, cfg)
-        assert rec["val_accuracy"] == batch_accuracy(model.params, val_b)
+        assert rec["val_accuracy"] == accuracy(model, val_b)
     finals = [rec for rec in log
               if rec["stage_epochs"] == log[-1]["stage_epochs"]]
     winner = min(finals, key=lambda rec: (-rec["val_accuracy"], rec["trial"]))

@@ -11,14 +11,14 @@ import pytest
 
 from fddkit.errors import ConfigError
 from fddkit.hierarchy import LabelMap
+from fddkit.model import train, tune
 from fddkit.plant import INCIPIENT_CLASSES, default_plant
 from fddkit.pipeline import (ExperimentSpec, default_excitation,
                              evaluate_classifier, evaluate_hierarchical,
                              excitation_gain, fit_flat,
                              fit_hierarchical, infer_with_twins,
                              level2_accuracies, scenario_batch,
-                             classifier_config, surrogate_benchmark,
-                             tune_classifier)
+                             classifier_config, surrogate_benchmark)
 
 TINY = ExperimentSpec(classes=(0, 1), incipient=(), n_series=1,
                       n_series_level2=1, horizon=120, window=10, onset=40,
@@ -352,8 +352,7 @@ def test_tune_classifier_smoke():
     train_b = scenario_batch(1, "train", TINY)
     val_b = scenario_batch(1, "val", TINY)
     cfg = classifier_config(2, 1, TINY, n_features=train_b.n_features)
-    model = tune_classifier(train_b, val_b, cfg,
-                            search_space={"learning_rate": [0.01, 0.05]},
-                            budget=2)
-    assert model.config.learning_rate in (0.01, 0.05)
-    assert model.config.epochs == cfg.epochs
+    best = tune(train_b, val_b, {"learning_rate": [0.01, 0.05]}, 2, cfg)
+    assert best.learning_rate in (0.01, 0.05)
+    assert best.epochs == cfg.epochs
+    assert train(train_b, val_b, best).config == best
