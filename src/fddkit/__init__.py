@@ -17,9 +17,8 @@ from .metrics import (ConfusionMatrix, EvalReport, average_fdr,
                       format_report, load_report, save_report)
 from .model import (ModelConfig, TrainedModel, load_model, sae_loss,
                     save_model, train, tune)
-from .pipeline import (ExperimentSpec, default_excitation,
-                       evaluate_hierarchical, excitation_gain,
-                       fit_flat, fit_hierarchical, hierarchical_report,
+from .pipeline import (ExperimentSpec, default_excitation, fit,
+                       fit_hierarchical, hierarchical_report,
                        infer_with_twins, scenario_batch, surrogate_benchmark)
 from .plant import (FaultSpec, PlantConfig, default_fault_library,
                     default_plant, simulate_scenario)
@@ -37,9 +36,8 @@ __all__ = [
     "PrbsPlan", "Scaler", "SplitError", "SplitSpec", "TrainedModel",
     "UndefinedMetricError", "WindowBatch", "average_fdr", "build_report",
     "concat_batches", "confusion", "default_excitation",
-    "default_fault_library", "default_plant", "design_band",
-    "evaluate_hierarchical", "excitation_gain", "far", "fdr",
-    "fdr_precision", "fit_flat", "fit_hierarchical", "format_report",
+    "default_fault_library", "default_plant", "design_band", "far", "fdr",
+    "fdr_precision", "fit", "fit_hierarchical", "format_report",
     "generate_mls", "hierarchical_report", "infer_with_twins",
     "load_labels", "load_matrix", "load_model", "load_plan", "load_report",
     "make_windows", "plan_from_band", "prbs_spectrum",

@@ -248,7 +248,12 @@ def _archive_batch(directory, name):
     lfile = directory / f"{name}_labels.npy"
     if not wfile.exists():
         return None
-    return WindowBatch(windows=_load_array(wfile), labels=_load_array(lfile))
+    labels = _load_array(lfile)
+    # a float label would be cut to an integer, a NaN one with a warning
+    if labels.dtype.kind not in "biu":
+        raise FormatError(f"{lfile}: labels must be integers, not "
+                          f"{labels.dtype}")
+    return WindowBatch(windows=_load_array(wfile), labels=labels)
 
 
 def _label_map(cfg, spec, n_classes):
@@ -482,6 +487,9 @@ def main(argv=None):
         return 2
     except (FddError, OSError) as exc:
         print(f"fddkit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # numpy's failed allocation
+        print(f"fddkit: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -34,15 +34,22 @@ class Scaler:
 
     @classmethod
     def fit(cls, data):
-        """Column statistics over all leading axes of data (..., d_x)."""
+        """Column statistics over all leading axes of data (..., d_x);
+        FormatError if they overflow float64."""
         data = np.asarray(data, dtype=np.float64)
         if data.ndim < 2:
             raise DimensionError("scaler data must be (..., d_x)")
         data = data.reshape(-1, data.shape[-1])
         if data.shape[0] == 0:
             raise DimensionError("no data rows to fit a scaler on")
-        mean = data.mean(axis=0)
-        std = data.std(axis=0)
+        # an infinite std would silently zero its column
+        try:
+            with np.errstate(over="raise"):
+                mean = data.mean(axis=0)
+                std = data.std(axis=0)
+        except FloatingPointError:
+            raise FormatError("the data's column statistics overflow "
+                              "float64; rescale it first") from None
         # Constant columns would divide by zero; clamp them to pass through.
         std = np.where(std <= 1e-12, 1.0, std)
         return cls(mean, std)
@@ -346,6 +353,8 @@ def make_windows(series, labels, horizon):
     length = series.shape[0]
     if labels.shape != (length,):
         raise DimensionError("need one label per sample")
+    if horizon < 1:
+        raise ConfigError(f"window {horizon} must be at least 1")
     if length < horizon:
         raise DimensionError(
             f"series length {length} is shorter than horizon {horizon}")

@@ -28,14 +28,14 @@ def check_mode(mode):
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Bidirectional bookkeeping between original and per-level labels.
+    """Bookkeeping between original labels and those of each mode's model.
 
     Built from the incipient classes and the size of the original
-    alphabet. level1_classes[k] is the original class behind level-1
-    label k: entry 0 is the merged group and has no single original
-    class (stored as -1), and the other classes follow it in order.
-    level2_classes[k] is the original class behind level-2 label k:
-    the normal class, then the incipient classes in ascending order.
+    alphabet. classes(mode)[k] is the original class behind label k of
+    a model trained in mode: flat keeps every class; level 1 has the
+    merged group at label 0, which has no single original class (stored
+    as -1), and the other classes after it in order; level 2 has the
+    normal class, then the incipient classes in ascending order.
     """
 
     incipient: tuple
@@ -52,68 +52,46 @@ class LabelMap:
                 f"[1, {self.n_original})")
         object.__setattr__(self, "incipient", incipient)
 
-    @property
-    def level1_classes(self):
-        return (-1, *(c for c in range(1, self.n_original)
-                      if c not in self.incipient))
-
-    @property
-    def level2_classes(self):
+    def classes(self, mode):
+        """The original class behind each label of a model of mode."""
+        if check_mode(mode) == "flat":
+            return tuple(range(self.n_original))
+        if mode == "level1":
+            return (-1, *(c for c in range(1, self.n_original)
+                          if c not in self.incipient))
         return (0, *self.incipient)
 
     def n_classes(self, mode):
         """The class count of a model trained in mode."""
-        return {"flat": self.n_original, "level1": len(self.level1_classes),
-                "level2": len(self.level2_classes)}[check_mode(mode)]
-
-    def _check_range(self, labels):
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0
-                            or labels.max() >= self.n_original):
-            raise ConfigError("label outside the original alphabet")
-        return labels
-
-    def to_level1(self, labels):
-        """Map original labels to the merged level-1 alphabet."""
-        labels = self._check_range(labels)
-        table = np.zeros(self.n_original, dtype=np.int64)
-        for k, orig in enumerate(self.level1_classes):
-            if k > 0:
-                table[orig] = k
-        return table[labels]
-
-    def to_level2(self, labels):
-        """Map merged-group originals to the level-2 alphabet."""
-        labels = self._check_range(labels)
-        table = np.full(self.n_original, -1, dtype=np.int64)
-        for k, orig in enumerate(self.level2_classes):
-            table[orig] = k
-        out = table[labels]
-        if np.any(out < 0):
-            bad = int(np.asarray(labels)[np.asarray(out) < 0].flat[0])
-            raise ConfigError(f"class {bad} is not in the merged group")
-        return out
+        return len(self.classes(mode))
 
     def relabel(self, batch, mode):
         """batch as a model trained in mode sees it: flat keeps it as it
         is, level1 maps it to the merged alphabet, and level2 keeps the
-        merged group's rows under level-2 labels."""
+        merged group's rows under level-2 labels. ConfigError if a level
+        model gets a label outside the original alphabet."""
         if check_mode(mode) == "flat":
             return batch
-        if mode == "level1":
-            return batch.relabel(self.to_level1(batch.labels))
-        in_group = np.isin(batch.labels, self.level2_classes)
-        if not in_group.all():
-            batch = batch.take(np.flatnonzero(in_group))
-        return batch.relabel(self.to_level2(batch.labels))
+        labels = batch.labels
+        if labels.size and (labels.min() < 0
+                            or labels.max() >= self.n_original):
+            raise ConfigError("label outside the original alphabet")
+        # classes the mode does not name: the merged group at level 1,
+        # no label (their rows are dropped) at level 2
+        table = np.full(self.n_original, 0 if mode == "level1" else -1,
+                        dtype=np.int64)
+        for k, orig in enumerate(self.classes(mode)):
+            if orig >= 0:
+                table[orig] = k
+        labels = table[labels]
+        if mode == "level2" and np.any(labels < 0):
+            keep = np.flatnonzero(labels >= 0)
+            batch, labels = batch.take(keep), labels[keep]
+        return batch.relabel(labels)
 
-    def from_level1(self, labels):
-        table = np.asarray(self.level1_classes)
-        return table[np.asarray(labels)]
-
-    def from_level2(self, labels):
-        table = np.asarray(self.level2_classes)
-        return table[np.asarray(labels)]
+    def original(self, labels, mode):
+        """The original classes behind labels of a model of mode."""
+        return np.asarray(self.classes(mode))[np.asarray(labels)]
 
 
 @dataclass

@@ -395,6 +395,12 @@ def load_model(directory):
         required=("encoder", "decoder", "n_features", "n_classes",
                   "horizon")))
     params = load_params(directory / "params.bin")
+    if ([(layer.d_x, layer.d_h) for layer in params.layers]
+            != config.layer_dims()
+            or params.n_encoder != len(config.encoder)
+            or params.W_c.shape[0] != config.n_classes):
+        raise FormatError(f"{directory}: config.json and params.bin "
+                          f"describe different networks")
     path = directory / "history.tsv"
     history = []
     try:

@@ -93,11 +93,11 @@ def scenario_batch(seed, split, spec=ExperimentSpec(), mode="flat",
     """Windowed data for one split, one series per (class, repeat) pair,
     under the labels of a model of mode (``LabelMap.relabel``). flat and
     level1 simulate every class, n_series runs each; level2 the merged
-    group (``label_map.level2_classes``), n_series_level2 runs each."""
+    group (``label_map.classes("level2")``), n_series_level2 runs each."""
     if split not in SPLIT_BASES:
         raise ConfigError(f"unknown split {split!r}")
     level2 = check_mode(mode) == "level2"
-    classes = spec.label_map.level2_classes if level2 else spec.classes
+    classes = spec.label_map.classes("level2") if level2 else spec.classes
     n_series = spec.n_series_level2 if level2 else spec.n_series
     base = SPLIT_BASES[split] + 1000 * int(seed)
     lib = spec.fault_library()
@@ -135,18 +135,15 @@ def evaluate_classifier(model, batch, metadata=None):
     return build_report(cm, normal=0, metadata=metadata)
 
 
-def fit_flat(seed, spec=ExperimentSpec()):
-    return _fit_split("flat", seed, spec)
-
-
-def _fit_split(mode, seed, spec, prbs=None):
-    """The mode's classifier on the mode's training split, which is
-    simulated here, in the fit's own worker."""
-    return _fit(mode, seed, spec,
+def fit(seed, spec=ExperimentSpec(), mode="flat", prbs=None):
+    """A classifier of mode on the mode's training split (probed with
+    prbs when a plan is given), which is simulated here, in the fit's
+    own worker."""
+    return _fit(seed, spec, mode,
                 scenario_batch(seed, "train", spec, mode, prbs))
 
 
-def _fit(mode, seed, spec, train_batch):
+def _fit(seed, spec, mode, train_batch):
     """The mode's classifier on a raw training split that already
     carries the mode's labels."""
     cfg = classifier_config(spec.label_map.n_classes(mode), seed, spec,
@@ -159,8 +156,8 @@ def fit_hierarchical(seed, spec=ExperimentSpec(), prbs=None):
     group, excited when a plan is given. Each fit simulates its own
     training split, so with fit workers this process builds none."""
     level1, level2 = _fit_all([
-        (_fit_split, ("level1", seed, spec)),
-        (_fit_split, ("level2", seed, spec, prbs)),
+        (fit, (seed, spec, "level1")),
+        (fit, (seed, spec, "level2", prbs)),
     ])
     return HierarchicalModel(level1, level2, spec.label_map)
 
@@ -179,7 +176,7 @@ def _fit_all(jobs):
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else 1, len(jobs))
     if workers < 2:
-        return [fit(*args) for fit, args in jobs]
+        return [job(*args) for job, args in jobs]
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     # Worker w takes jobs w, w + workers, ... . It inherits them with the
@@ -224,7 +221,7 @@ def _fit_share(share, sender):
     """Worker body: send (True, models) for a share of the jobs, or
     (False, exception) for the first fit that raises."""
     try:
-        outcome = True, [fit(*args) for fit, args in share]
+        outcome = True, [job(*args) for job, args in share]
     except Exception as exc:
         outcome = False, exc
     sender.send(outcome)
@@ -246,22 +243,12 @@ def infer_with_twins(hmodel, quiet_batch, probed_batch):
         raise ConfigError("twin batches do not align")
     lmap = hmodel.label_map
     pred1 = hmodel.level1.predict(quiet_batch)
-    out = lmap.from_level1(pred1)
+    out = lmap.original(pred1, "level1")
     routed = np.flatnonzero(pred1 == 0)
     if routed.size:
         pred2 = hmodel.level2.predict(probed_batch.windows[routed])
-        out[routed] = lmap.from_level2(pred2)
+        out[routed] = lmap.original(pred2, "level2")
     return out
-
-
-def evaluate_hierarchical(hmodel, seed, spec=ExperimentSpec(), prbs=None,
-                          metadata=None):
-    """Combined original-alphabet report on the test split, with level 2
-    on its probed twin when a plan is given."""
-    quiet = scenario_batch(seed, "test", spec)
-    probed = (quiet if prbs is None
-              else scenario_batch(seed, "test", spec, prbs=prbs))
-    return hierarchical_report(hmodel, quiet, probed, metadata)
 
 
 def hierarchical_report(hmodel, quiet_batch, probed_batch, metadata=None):
@@ -271,38 +258,6 @@ def hierarchical_report(hmodel, quiet_batch, probed_batch, metadata=None):
     preds = infer_with_twins(hmodel, quiet_batch, probed_batch)
     cm = confusion(quiet_batch.labels, preds, hmodel.label_map.n_original)
     return build_report(cm, normal=0, metadata=metadata)
-
-
-def level2_scores(model, seed, spec=ExperimentSpec(), prbs=None):
-    """Per-class accuracy of a level-2 specialist on the merged group's
-    test split, keyed by original class id."""
-    test_b = scenario_batch(seed, "test", spec, "level2", prbs)
-    preds = model.predict(test_b)
-    return {orig: float(np.mean(preds[test_b.labels == k] == k))
-            for k, orig in enumerate(spec.label_map.level2_classes)}
-
-
-def level2_accuracies(seed, spec=ExperimentSpec(), prbs=None):
-    """Per-class test accuracy of a standalone level-2 specialist,
-    keyed by original class id."""
-    model = _fit_split("level2", seed, spec, prbs)
-    return level2_scores(model, seed, spec, prbs)
-
-
-def excitation_gain(seed, spec, plan, level2, level2_probed):
-    """Incipient-class accuracy change from exciting the level-2 data.
-
-    level2 is the quiet specialist, such as the one inside
-    ``fit_hierarchical(seed, spec)``, and level2_probed the one trained
-    on the merged group probed with the plan, such as the one inside
-    ``fit_hierarchical(seed, spec, prbs=plan)``. Each is scored on the
-    test split recorded the way its training split was.
-    """
-    quiet = level2_scores(level2, seed, spec)
-    excited = level2_scores(level2_probed, seed, spec, prbs=plan)
-    incip = sorted(spec.incipient)
-    gain = float(np.mean([excited[c] - quiet[c] for c in incip]))
-    return {"quiet": quiet, "excited": excited, "gain": gain}
 
 
 def _class_mean(report, classes):
@@ -330,10 +285,10 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         train_b = scenario_batch(seed, "train", spec)
         level1_train = spec.label_map.relabel(train_b, "level1")
         flat, level1, level2, level2_probed = _fit_all([
-            (_fit, ("flat", seed, spec, train_b)),
-            (_fit, ("level1", seed, spec, level1_train)),
-            (_fit_split, ("level2", seed, spec)),
-            (_fit_split, ("level2", seed, spec, plan)),
+            (_fit, (seed, spec, "flat", train_b)),
+            (_fit, (seed, spec, "level1", level1_train)),
+            (fit, (seed, spec, "level2")),
+            (fit, (seed, spec, "level2", plan)),
         ])
         # this process only scores from here on, and its peak memory is
         # set by the test-split predictions below
@@ -342,16 +297,23 @@ def surrogate_benchmark(seeds=(1, 2, 3, 4, 5), spec=ExperimentSpec(),
         flat_report = evaluate_classifier(flat, test_b)
         hier_report = hierarchical_report(
             HierarchicalModel(level1, level2, spec.label_map), test_b, test_b)
-        # the quiet specialist of the two-level model is the one scored
-        gain = excitation_gain(seed, spec, plan, level2, level2_probed)
+        # each specialist is scored on the test split recorded the way
+        # its training split was; the quiet one is the two-level model's
+        level2_fdr = []
+        for model, prbs in ((level2, None), (level2_probed, plan)):
+            report = evaluate_classifier(
+                model, scenario_batch(seed, "test", spec, "level2", prbs))
+            level2_fdr.append({orig: report.fdr_by_class[k] for k, orig
+                               in enumerate(spec.label_map.classes("level2"))})
+        quiet, excited = level2_fdr
         rows.append({
             "seed": int(seed),
             "flat_incipient": _class_mean(flat_report, incip),
             "flat_plain": _class_mean(flat_report, plain),
             "hier_plain": _class_mean(hier_report, plain),
-            "level2_quiet": gain["quiet"],
-            "level2_excited": gain["excited"],
-            "gain": gain["gain"],
+            "level2_quiet": quiet,
+            "level2_excited": excited,
+            "gain": float(np.mean([excited[c] - quiet[c] for c in incip])),
         })
     return {
         "per_seed": rows,

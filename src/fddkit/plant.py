@@ -218,7 +218,12 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
                      np.asarray(plant.kp, dtype=np.float64).tolist(),
                      ki.tolist()))
     noise_rng = np.random.default_rng([plant.seed, 0])
-    noise = noise_rng.normal(0.0, 1.0, size=(horizon, n_y)) * plant.noise_std
+    try:
+        noise = (noise_rng.normal(0.0, 1.0, size=(horizon, n_y))
+                 * plant.noise_std)
+    except ValueError:   # numpy's "array is too big" and its kin
+        raise ConfigError(f"horizon {horizon} is too long to allocate "
+                          f"its records") from None
     fstate = FaultState(rng=np.random.default_rng([plant.seed, 1]))
     targets = (np.asarray(plant.setpoints, dtype=np.float64)
                + _prbs_injection(plant, prbs, horizon)).tolist()

@@ -64,11 +64,12 @@ class PrbsPlan:
 
     def __post_init__(self):
         self.taps = tuple(self.taps)
-        if self.period != 2 ** self.n_register - 1:
-            raise DesignError("period must equal 2^n - 1")
+        # the range first: 2^n of a huge n would not finish
         if not 2 <= self.n_register <= MAX_REGISTER:
             raise DesignError(
                 f"register length {self.n_register} outside [2, {MAX_REGISTER}]")
+        if self.period != 2 ** self.n_register - 1:
+            raise DesignError("period must equal 2^n - 1")
 
 
 def design_band(tau_ol, tau_cl, s_f=2.0, omega_nyquist=None):
@@ -153,7 +154,7 @@ def generate_mls(n, taps=None, amplitude=1.0):
         raise DesignError(f"register length must be in [2, {MAX_REGISTER}]")
     if taps is None:
         taps = TAPS[n]
-    if max(taps) != n or min(taps) < 1:
+    if not taps or max(taps) != n or min(taps) < 1:
         raise DesignError(f"taps {taps} do not fit an n-bit register")
     mask = (1 << n) - 1
     state = 1
@@ -194,6 +195,9 @@ def schedule_injection(horizon, burst_len=DEFAULT_BURST_LEN,
         raise ConfigError("horizon must be nonnegative")
     if burst_len < 1 or burst_interval < 1:
         raise ConfigError("burst length and interval must be at least 1")
+    # beyond the horizon, a longer burst or interval changes no sample
+    burst_len, burst_interval = (min(v, max(horizon, 1))
+                                 for v in (burst_len, burst_interval))
     idx = np.arange(horizon)
     return ((idx % burst_interval) < burst_len).astype(np.int64)
 
@@ -209,7 +213,8 @@ def prbs_waveform(plan, n_samples, t_s):
         raise DesignError("plan clock is not a multiple of the sample time")
     chips = generate_mls(plan.n_register, plan.taps,
                          amplitude=plan.amplitude)
-    held = np.repeat(chips, k)
+    # a chip held past the last sample is cut there anyway
+    held = np.repeat(chips, min(k, max(n_samples, 1)))
     reps = int(np.ceil(n_samples / held.size))
     return np.tile(held, reps)[:n_samples]
 

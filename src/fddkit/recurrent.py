@@ -236,8 +236,12 @@ def init_params(layer_dims, n_classes, seed, n_encoder=None):
             raise DimensionError("layer sizes must be positive")
         sw = np.sqrt(1.0 / d_x)
         sr = np.sqrt(1.0 / d_h)
-        W = rng.uniform(-sw, sw, size=(4 * d_h, d_x))
-        R = rng.uniform(-sr, sr, size=(4 * d_h, d_h))
+        try:
+            W = rng.uniform(-sw, sw, size=(4 * d_h, d_x))
+            R = rng.uniform(-sr, sr, size=(4 * d_h, d_h))
+        except ValueError:   # numpy's "array is too big" and its kin
+            raise DimensionError(f"a layer of {d_h} units on {d_x} inputs "
+                                 f"is too large to allocate") from None
         b = np.zeros(4 * d_h)
         b[:d_h] = 1.0
         layers.append(LstmParams(W, R, b))

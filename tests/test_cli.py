@@ -394,6 +394,58 @@ def test_ingest_scaler_that_overflows_the_windows_exits_one(tmp_path,
         ["ingest", "--config", ing, "--out", str(tmp_path / "arc")], capsys)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ingest_of_data_whose_statistics_overflow_exits_one(tmp_path,
+                                                           capsys):
+    rng = np.random.default_rng(8)
+    save_matrix(tmp_path / "big.txt", rng.normal(size=(60, 3)) * 1e200)
+    save_labels(tmp_path / "labels.txt", np.zeros(60, dtype=int))
+    ing = write_config(tmp_path / "ingest.json", {
+        "seed": 1, "data": str(tmp_path / "big.txt"),
+        "labels": str(tmp_path / "labels.txt"), "window": 5})
+    # the scaler used to be saved with an infinite std
+    assert "overflow" in _assert_one_line_exit_one(
+        ["ingest", "--config", ing, "--out", str(tmp_path / "arc")], capsys)
+    assert not (tmp_path / "arc" / "scaler.json").exists()
+
+
+# A horizon of 10**16 or an encoder of 10**15 units asks numpy for more
+# bytes than a 64-bit process can address but fewer than an index can
+# count, so the allocation fails with MemoryError on any host, whatever
+# its memory and overcommit policy.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, payload", [
+    (["simulate"], {"horizon": 2 ** 63}),
+    (["simulate"], {"horizon": 2 ** 63 - 1}),
+    (["simulate"], {"horizon": 10 ** 16}),
+    (["train", "--mode", "flat"], {"surrogate": {"horizon": 10 ** 16}}),
+    (["train", "--mode", "flat"],
+     {"surrogate": {**TINY_SURROGATE, "epochs": 1},
+      "model": {"encoder": [10 ** 15]}}),
+    (["train", "--mode", "flat"],
+     {"surrogate": {**TINY_SURROGATE, "epochs": 1},
+      "model": {"encoder": [10 ** 18]}}),
+    (["ingest"], {"window": 0}),
+    (["train", "--mode", "flat"],
+     {"surrogate": {**TINY_SURROGATE, "window": -3}}),
+], ids=["dimension", "too-big", "petabytes", "surrogate-petabytes",
+        "encoder-petabytes", "encoder-too-big", "ingest-window",
+        "surrogate-window"])
+def test_sizes_numpy_cannot_allocate_exit_one(tmp_path, capsys, argv,
+                                              payload):
+    # each ended in a numpy traceback, or for a window below 1 in a
+    # message about labels
+    if argv == ["ingest"]:
+        save_matrix(tmp_path / "data.txt", np.zeros((30, 2)))
+        save_labels(tmp_path / "labels.txt", np.zeros(30, dtype=int))
+        payload = {**payload, "data": str(tmp_path / "data.txt"),
+                   "labels": str(tmp_path / "labels.txt")}
+    cfg = write_config(tmp_path / "cfg.json", {"seed": 1, **payload})
+    err = _assert_one_line_exit_one(
+        [*argv, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert "labels" not in err
+
+
 def _with_shape(blob, old, new):
     """A .npy file's bytes with its header's shape text replaced and the
     header's padding adjusted, so its length and the data stay put."""
@@ -461,6 +513,37 @@ def test_corrupt_model_files_exit_one(tmp_path, capsys, name, text):
                       {"seed": 2, "surrogate": TINY_SURROGATE,
                        "model": str(model_dir)})
     assert name in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+@pytest.mark.parametrize("change", [{"n_classes": 10 ** 9},
+                                    {"encoder": [4], "n_classes": 4}])
+def test_model_config_that_disagrees_with_its_params_exits_one(
+        tmp_path, capsys, change):
+    # a huge class count used to reach the confusion matrix's allocation
+    model_dir = _saved_model(tmp_path / "model")
+    cfg = json.loads((model_dir / "config.json").read_text())
+    (model_dir / "config.json").write_text(json.dumps({**cfg, **change}))
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir)})
+    assert "describe different networks" in _assert_one_line_exit_one(
+        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 0.5], [0.0, 1.0, np.nan]])
+def test_archive_with_float_labels_exits_one(tmp_path, capsys, labels):
+    # 0.5 used to be read as class 0, and NaN with a cast warning
+    model_dir = _saved_model(tmp_path / "model")
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    np.save(archive / "test_windows.npy", np.zeros((3, 10, 10)))
+    np.save(archive / "test_labels.npy", np.array(labels))
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "archive": str(archive),
+                       "model": str(model_dir)})
+    assert "labels must be integers" in _assert_one_line_exit_one(
         ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
 
 

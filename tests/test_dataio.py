@@ -135,6 +135,19 @@ def test_scaler_save_load_round_trip(tmp_path):
     assert again.std.tobytes() == fitted.std.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_scaler_fit_rejects_data_whose_statistics_overflow():
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(60, 3))
+    fitted = Scaler.fit(data)
+    # the same bits as numpy's own statistics
+    assert fitted.mean.tobytes() == data.mean(axis=0).tobytes()
+    assert fitted.std.tobytes() == data.std(axis=0).tobytes()
+    # squaring 1e200 overflows; the std used to come out infinite
+    with pytest.raises(FormatError, match="overflow float64"):
+        Scaler.fit(data * 1e200)
+
+
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"mean": [0.0]}',
                                   '{"mean": "0", "std": [1.0]}',
                                   '{"mean": [true], "std": [1.0]}'])
@@ -193,6 +206,13 @@ def test_make_windows_counts_and_labels():
     assert len(single) == 1
     with pytest.raises(DimensionError):
         make_windows(series[:100], labels[:100], horizon=150)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_make_windows_rejects_a_window_below_one(horizon):
+    # such a window used to fail later, as one label per window missing
+    with pytest.raises(ConfigError, match=f"window {horizon} must be"):
+        make_windows(np.zeros((30, 2)), np.zeros(30, dtype=int), horizon)
 
 
 def test_split_all_train():

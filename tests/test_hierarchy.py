@@ -13,12 +13,13 @@ from fddkit.pipeline import hierarchical_report, infer_with_twins
 def test_regroup_thirteen_classes():
     labels = np.arange(13)
     lmap = LabelMap((3, 9, 11), 13)
-    merged = lmap.to_level1(labels)
+    merged = lmap.relabel(_toy_batch(labels), "level1").labels
     expect = [0, 1, 2, 0, 3, 4, 5, 6, 7, 0, 8, 0, 9]
     assert merged.tolist() == expect
-    assert lmap.n_classes("level1") == 10
-    assert lmap.level2_classes == (0, 3, 9, 11)
-    assert lmap.level1_classes == (-1, 1, 2, 4, 5, 6, 7, 8, 10, 12)
+    assert lmap.classes("flat") == tuple(range(13))
+    assert lmap.classes("level1") == (-1, 1, 2, 4, 5, 6, 7, 8, 10, 12)
+    assert lmap.classes("level2") == (0, 3, 9, 11)
+    assert [lmap.n_classes(m) for m in MODES] == [13, 10, 4]
     assert lmap.n_original == 13
     # the incipient classes may come in any order, with repeats
     assert LabelMap([11, 3, 9, 3], 13) == lmap
@@ -27,22 +28,27 @@ def test_regroup_thirteen_classes():
 def test_regroup_empty_incipient_is_identity():
     labels = np.array([0, 4, 2, 1, 3, 0])
     lmap = LabelMap((), 5)
-    merged = lmap.to_level1(labels)
+    merged = lmap.relabel(_toy_batch(labels), "level1").labels
     assert merged.tolist() == labels.tolist()
-    assert lmap.level2_classes == (0,)
+    assert lmap.classes("level2") == (0,)
 
 
 def test_regroup_round_trip():
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 13, size=200)
     lmap = LabelMap((3, 9, 11), 13)
-    merged = lmap.to_level1(labels)
+    batch = _toy_batch(labels)
+    merged = lmap.relabel(batch, "level1").labels
+    group = lmap.relabel(batch, "level2")
+    assert group.labels.size == np.isin(labels, (0, 3, 9, 11)).sum()
+    assert lmap.original(group.labels, "level2").tolist() == \
+        [c for c in labels if c in (0, 3, 9, 11)]
+    np.testing.assert_array_equal(lmap.original(labels, "flat"), labels)
     for orig, lvl1 in zip(labels, merged):
         if orig in (0, 3, 9, 11):
             assert lvl1 == 0
-            assert lmap.from_level2(lmap.to_level2([orig]))[0] == orig
         else:
-            assert lmap.from_level1([lvl1])[0] == orig
+            assert lmap.original([lvl1], "level1")[0] == orig
 
 
 def test_regroup_rejects_bad_sets():
@@ -51,10 +57,18 @@ def test_regroup_rejects_bad_sets():
     with pytest.raises(ConfigError):
         LabelMap((5,), 3)
     lmap = LabelMap((2,), 3)
-    with pytest.raises(ConfigError):
-        lmap.to_level2(np.array([1]))
-    with pytest.raises(ConfigError):
-        lmap.to_level1(np.array([7]))
+    # a plain class has no level-2 label, so its rows are left out
+    assert len(lmap.relabel(_toy_batch([1]), "level2")) == 0
+    with pytest.raises(ConfigError, match="outside the original alphabet"):
+        lmap.relabel(_toy_batch([7]), "level1")
+
+
+@pytest.mark.parametrize("mode", ["level1", "level2"])
+def test_relabel_rejects_a_label_of_the_alphabet_size(mode):
+    # level 2 used to drop such a row as not in the merged group
+    lmap = LabelMap((3, 9, 11), 13)
+    with pytest.raises(ConfigError, match="outside the original alphabet"):
+        lmap.relabel(_toy_batch([0, 3, 13]), mode)
 
 
 @pytest.mark.parametrize("incipient", [(-1,), (3, -2), (13,)])
@@ -144,8 +158,8 @@ def test_infer_with_twins_routes_level2_on_the_quiet_batch_given_twice():
     pred1 = level1.predict(w)
     routed = pred1 == 0
     assert 0 < routed.sum() < len(w)   # both paths are exercised
-    expect = lmap.from_level1(pred1)
-    expect[routed] = lmap.from_level2(level2.predict(w[routed]))
+    expect = lmap.original(pred1, "level1")
+    expect[routed] = lmap.original(level2.predict(w[routed]), "level2")
     np.testing.assert_array_equal(infer_with_twins(model, batch, batch),
                                   expect)
     with pytest.raises(ConfigError, match="twin batches do not align"):

@@ -13,12 +13,11 @@ from fddkit.errors import ConfigError
 from fddkit.hierarchy import LabelMap
 from fddkit.model import train, tune
 from fddkit.plant import INCIPIENT_CLASSES, default_plant
-from fddkit.pipeline import (ExperimentSpec, default_excitation,
-                             evaluate_classifier, evaluate_hierarchical,
-                             excitation_gain, fit_flat,
-                             fit_hierarchical, infer_with_twins,
-                             level2_accuracies, scenario_batch,
-                             classifier_config, surrogate_benchmark)
+from fddkit.pipeline import (ExperimentSpec, classifier_config,
+                             default_excitation, evaluate_classifier, fit,
+                             fit_hierarchical, hierarchical_report,
+                             infer_with_twins, scenario_batch,
+                             surrogate_benchmark)
 
 TINY = ExperimentSpec(classes=(0, 1), incipient=(), n_series=1,
                       n_series_level2=1, horizon=120, window=10, onset=40,
@@ -96,15 +95,17 @@ def test_level1_batch_is_the_flat_batch_under_level1_labels():
     flat = scenario_batch(2, "train", SMALL_HIER)
     level1 = scenario_batch(2, "train", SMALL_HIER, "level1")
     assert level1.windows.tobytes() == flat.windows.tobytes()
+    # classes 3 and 11 join the normal class at label 0
+    table = dict(zip((0, 1, 3, 11), (0, 1, 0, 0)))
     np.testing.assert_array_equal(
-        level1.labels, SMALL_HIER.label_map.to_level1(flat.labels))
+        level1.labels, [table[c] for c in flat.labels])
     np.testing.assert_array_equal(level1.series, flat.series)
 
 
 def test_level2_batch_is_the_merged_group_at_its_run_count():
     spec = dataclasses.replace(SMALL_HIER, n_series_level2=2)
     batch = scenario_batch(2, "train", spec, "level2")
-    group = spec.label_map.level2_classes
+    group = spec.label_map.classes("level2")
     assert len(set(batch.series.tolist())) == len(group) * 2
     assert set(batch.labels.tolist()) == set(range(len(group)))
 
@@ -158,13 +159,13 @@ def test_spec_builds_its_label_map_once():
 
 
 def test_fit_and_evaluate_flat():
-    model = fit_flat(1, TINY)
+    model = fit(1, TINY)
     assert model.config.n_classes == 2
     assert model.scaler is not None
     report = evaluate_classifier(model, scenario_batch(1, "test", TINY))
     assert report.cm.total == len(scenario_batch(1, "test", TINY))
     assert 0.0 <= report.far <= 1.0
-    again = fit_flat(1, TINY)
+    again = fit(1, TINY)
     for p, q in zip(model.params.flat_arrays(), again.params.flat_arrays()):
         np.testing.assert_array_equal(p, q)
 
@@ -174,9 +175,11 @@ def test_hierarchical_fit_and_reports():
     # the alphabet stays dense over 0..max even for subset recipes
     assert hmodel.level1.config.n_classes == 10
     assert hmodel.level2.config.n_classes == 3   # normal, 3, 11
-    report = evaluate_hierarchical(hmodel, 1, SMALL_HIER)
+    quiet = scenario_batch(1, "test", SMALL_HIER)
+    report = hierarchical_report(hmodel, quiet, quiet)
     assert report.cm.counts.shape == (12, 12)
-    excited = evaluate_hierarchical(hmodel, 1, SMALL_HIER, prbs=PLAN)
+    excited = hierarchical_report(
+        hmodel, quiet, scenario_batch(1, "test", SMALL_HIER, prbs=PLAN))
     assert excited.cm.total == report.cm.total
 
 
@@ -202,37 +205,41 @@ def test_infer_with_twins_matches_hand_composed_reference():
     pred1 = l1.predict(quiet.windows)
     routed = np.flatnonzero(pred1 == 0)
     assert 0 < routed.size < len(quiet)
-    expect = lmap.from_level1(pred1)
-    expect[routed] = lmap.from_level2(l2.predict(probed.windows[routed]))
+    expect = lmap.original(pred1, "level1")
+    expect[routed] = lmap.original(l2.predict(probed.windows[routed]),
+                                   "level2")
     got = infer_with_twins(hmodel, quiet, probed)
     np.testing.assert_array_equal(got, expect)
     # level 2 read the probed rows: on the quiet rows it answers otherwise
     assert not np.array_equal(got, infer_with_twins(hmodel, quiet, quiet))
 
 
-def test_level2_accuracies_keys():
-    acc = level2_accuracies(1, SMALL_HIER)
-    assert sorted(acc) == [0, 3, 11]
-    assert all(0.0 <= v <= 1.0 for v in acc.values())
-
-
-def test_excitation_gain_structure():
-    level2 = fit_hierarchical(1, SMALL_HIER).level2
-    probed = fit_hierarchical(1, SMALL_HIER, prbs=PLAN).level2
-    out = excitation_gain(1, SMALL_HIER, PLAN, level2, probed)
-    assert set(out) == {"quiet", "excited", "gain"}
-    expect = np.mean([out["excited"][c] - out["quiet"][c]
-                      for c in (3, 11)])
-    assert out["gain"] == pytest.approx(expect)
+def test_fit_trains_a_standalone_level2_specialist():
+    model = fit(1, SMALL_HIER, "level2")
+    assert model.config.n_classes == 3   # normal, 3, 11
+    test_b = scenario_batch(1, "test", SMALL_HIER, "level2")
+    report = evaluate_classifier(model, test_b)
+    assert sorted(report.fdr_by_class) == [0, 1, 2]
+    assert all(0.0 <= v <= 1.0 for v in report.fdr_by_class.values())
 
 
 def test_benchmark_scores_the_hierarchical_level2_as_standalone():
     # surrogate_benchmark reuses fit_hierarchical's quiet specialist in
     # place of training a standalone one; the scores must not move.
+    def standalone(prbs):
+        """Per-class accuracy, keyed by original class, of a level-2
+        specialist trained and tested on records taken with prbs."""
+        model = fit(1, SMALL_HIER, "level2", prbs)
+        test_b = scenario_batch(1, "test", SMALL_HIER, "level2", prbs)
+        preds, labels = model.predict(test_b), test_b.labels
+        return {orig: float(np.mean(preds[labels == k] == k))
+                for k, orig in enumerate((0, 3, 11))}
+
     row = surrogate_benchmark(seeds=(1,), spec=SMALL_HIER)["per_seed"][0]
-    assert row["level2_quiet"] == level2_accuracies(1, SMALL_HIER)
-    assert row["level2_excited"] == level2_accuracies(1, SMALL_HIER,
-                                                      prbs=PLAN)
+    quiet, excited = standalone(None), standalone(PLAN)
+    assert row["level2_quiet"] == quiet
+    assert row["level2_excited"] == excited
+    assert row["gain"] == np.mean([excited[c] - quiet[c] for c in (3, 11)])
 
 
 def test_benchmark_simulates_each_split_once(monkeypatch, tmp_path):
@@ -259,10 +266,10 @@ def test_benchmark_simulates_each_split_once(monkeypatch, tmp_path):
     assert len(runs) == 2 * 4 + 4 * 3 and sum(runs) == 2 * 3
     monkeypatch.undo()
 
-    flat = evaluate_classifier(fit_flat(1, SMALL_HIER),
-                               scenario_batch(1, "test", SMALL_HIER))
-    hier = evaluate_hierarchical(fit_hierarchical(1, SMALL_HIER), 1,
-                                 SMALL_HIER)
+    test_b = scenario_batch(1, "test", SMALL_HIER)
+    flat = evaluate_classifier(fit(1, SMALL_HIER), test_b)
+    hier = hierarchical_report(fit_hierarchical(1, SMALL_HIER), test_b,
+                               test_b)
     assert row["flat_incipient"] == np.mean([flat.fdr_by_class[c]
                                              for c in (3, 11)])
     assert row["flat_plain"] == flat.fdr_by_class[1]
@@ -293,17 +300,17 @@ def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
     import fddkit.pipeline as pipeline
     pids = tmp_path / "pids"
 
-    real = pipeline._fit_split
+    real = pipeline.fit
 
-    def failing(mode, seed, spec, prbs=None):
+    def failing(seed, spec, mode="flat", prbs=None):
         if mode != "level2":
-            return real(mode, seed, spec, prbs)
+            return real(seed, spec, mode, prbs)
         with open(pids, "a") as f:
             f.write(f"{os.getpid()}\n")
         raise ConfigError("level-2 data unusable")
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_split", failing)
+    monkeypatch.setattr(pipeline, "fit", failing)
     call = {"surrogate_benchmark": lambda: surrogate_benchmark(
                 seeds=(1,), spec=SMALL_HIER, plan=PLAN),
             "fit_hierarchical": lambda: fit_hierarchical(1, SMALL_HIER)}
@@ -318,13 +325,13 @@ def test_a_fit_failing_in_a_worker_raises_in_the_caller(monkeypatch,
 def test_a_failing_fit_stops_the_other_workers(monkeypatch):
     import fddkit.pipeline as pipeline
 
-    def failing(mode, seed, spec, prbs=None):
+    def failing(seed, spec, mode="flat", prbs=None):
         if mode == "level1":
             raise ConfigError("level-1 data unusable")
         time.sleep(60)
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_split", failing)
+    monkeypatch.setattr(pipeline, "fit", failing)
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="level-1 data unusable"):
         fit_hierarchical(1, SMALL_HIER)
@@ -334,15 +341,15 @@ def test_a_failing_fit_stops_the_other_workers(monkeypatch):
 
 def test_a_worker_that_dies_raises_in_the_caller(monkeypatch):
     import fddkit.pipeline as pipeline
-    real = pipeline._fit_split
+    real = pipeline.fit
 
-    def dying(mode, seed, spec, prbs=None):
+    def dying(seed, spec, mode="flat", prbs=None):
         if mode == "level2":
             os._exit(3)
-        return real(mode, seed, spec, prbs)
+        return real(seed, spec, mode, prbs)
 
     allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_fit_split", dying)
+    monkeypatch.setattr(pipeline, "fit", dying)
     with pytest.raises(ChildProcessError, match="exited with code 3"):
         fit_hierarchical(1, SMALL_HIER)
     assert multiprocessing.active_children() == []

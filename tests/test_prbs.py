@@ -77,6 +77,14 @@ def test_mls_rejects_bad_register_and_taps():
         generate_mls(17)
     with pytest.raises(DesignError):
         generate_mls(5, taps=(4, 2))
+    with pytest.raises(DesignError, match="taps"):
+        generate_mls(5, taps=())
+
+
+def test_plan_rejects_a_huge_register_before_raising_two_to_it():
+    # 2 ** (2 ** 64) would not finish, or would run out of memory
+    with pytest.raises(DesignError, match="register length"):
+        PrbsPlan(0.5, 6.0, 2 ** 64, 31, TAPS[5])
 
 
 def test_design_band_formulas():
@@ -196,6 +204,12 @@ def test_schedule_injection_edge_cases():
     assert mask.sum() == 50
     with pytest.raises(ConfigError):
         schedule_injection(10, 0, 5)
+    # past the horizon, longer bursts and intervals change nothing; at
+    # 2 ** 63 and beyond they used to overflow numpy's integers
+    np.testing.assert_array_equal(schedule_injection(90, 40, 2 ** 64),
+                                  schedule_injection(90, 40, 90))
+    np.testing.assert_array_equal(schedule_injection(90, 2 ** 64, 2 ** 64),
+                                  np.ones(90))
 
 
 def test_waveform_holds_chips():
@@ -206,6 +220,12 @@ def test_waveform_holds_chips():
     assert set(np.unique(wave)) == {-3.0, 3.0}
     # Each chip lasts t_clock/t_s = 2 samples.
     np.testing.assert_array_equal(wave[0::2][:50], wave[1::2][:50])
+    # a chip held past the last sample fills the record, even when its
+    # hold is more samples than numpy can repeat
+    slow = PrbsPlan(3.0, 2.0 ** 70, plan.n_register, plan.period,
+                    plan.taps)
+    np.testing.assert_array_equal(prbs_waveform(slow, 100, 1.0),
+                                  np.full(100, wave[0]))
 
 
 def test_plan_json_round_trip(tmp_path):
