@@ -63,7 +63,10 @@ class Scaler:
         # an overflow here is a scaler unfit for the data, not a divergence
         try:
             with np.errstate(over="raise"):
-                return (data - self.mean) / self.std
+                # in place, so no second full-size temporary is made
+                out = data - self.mean
+                out /= self.std
+                return out
         except FloatingPointError:
             raise FormatError("standardizing with the scaler overflows "
                               "float64: it does not fit this data") from None

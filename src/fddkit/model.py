@@ -41,6 +41,13 @@ DEFAULT_BUDGET = 4
 # Epochs of the first successive-halving stage; each later stage doubles it.
 STAGE_EPOCHS = 2
 
+# Most input values (windows x steps x channels) that TrainedModel.predict
+# standardizes and runs through the encoder at once; a larger batch goes
+# in equal chunks, so the scaled copy and the input projection stay
+# bounded. A chunk keeps at least two windows: a one-row product takes
+# BLAS's matrix-vector path, whose rounding differs from the batch's.
+PREDICT_CHUNK_VALUES = 2 ** 20
+
 
 # Field table of the ModelConfig fields a config's model node (and each
 # candidate list of tune's search space) may set.
@@ -219,10 +226,11 @@ def predict(params, batch):
     return np.argmax(predict_proba(params, batch), axis=1)
 
 
-def batch_accuracy(params, batch):
+def batch_accuracy(model, batch):
+    """Accuracy of a TrainedModel on a WindowBatch of raw windows."""
     if len(batch) == 0:
         return math.nan
-    return float(np.mean(predict(params, batch) == batch.labels))
+    return float(np.mean(model.predict(batch) == batch.labels))
 
 
 @dataclass
@@ -238,11 +246,18 @@ class TrainedModel:
     scaler: Scaler = None
 
     def predict(self, batch):
-        """Class indices for raw windows, an array or a WindowBatch."""
+        """Class indices for raw windows, an array or a WindowBatch,
+        standardized and predicted in equal chunks of at most
+        PREDICT_CHUNK_VALUES input values each."""
         windows, _ = _as_windows(batch)
-        if self.scaler is not None:
-            windows = self.scaler.apply(windows)
-        return predict(self.params, windows)
+        n_chunks = min(-(-windows.size // PREDICT_CHUNK_VALUES),
+                       len(windows) // 2)
+        preds = []
+        for chunk in np.array_split(windows, max(n_chunks, 1)):
+            if self.scaler is not None:
+                chunk = self.scaler.apply(chunk)
+            preds.append(predict(self.params, chunk))
+        return np.concatenate(preds)
 
 
 def _step_params(params, epoch):
@@ -262,7 +277,8 @@ def _step_params(params, epoch):
 
 def train(train_batch, val_batch, config):
     """Minibatch Adam on the composite loss, on raw windows: a Scaler
-    fitted on the training windows standardizes both batches, and the
+    fitted on the training windows standardizes each minibatch as it is
+    drawn and the validation windows as they are scored, and the
     returned model carries it. Shuffling, initialization, and therefore
     the whole run are fixed by config.seed. When a validation batch is
     given, the returned parameters are the epoch snapshot with the best
@@ -283,9 +299,7 @@ def train(train_batch, val_batch, config):
     if train_batch.n_features != config.n_features:
         raise DimensionError("training data feature count differs from config")
     scaler = Scaler.fit(train_batch.windows)
-    train_batch = train_batch.scaled(scaler)
     use_val = val_batch is not None and len(val_batch) > 0
-    val_batch = val_batch.scaled(scaler) if use_val else None
     params = build_params(config)
     state = init_adam(params)
     rng = np.random.default_rng([config.seed, 1])
@@ -300,11 +314,13 @@ def train(train_batch, val_batch, config):
             idx = order[lo:lo + config.batch_size]
             step_params = _step_params(params, epoch)
             # an overflow in the float32 step gives an infinite loss,
-            # which is reported as divergence just below
+            # which is reported as divergence just below; the scaled
+            # float64 minibatch is passed, not kept, so it is freed once
+            # loss_and_grads has cast it
             with np.errstate(over="ignore"):
-                loss, grads = loss_and_grads(train_batch.windows[idx],
-                                             train_batch.labels[idx],
-                                             step_params, config)
+                loss, grads = loss_and_grads(
+                    scaler.apply(train_batch.windows[idx]),
+                    train_batch.labels[idx], step_params, config)
             if not np.isfinite(loss):
                 raise NumericDivergenceError(
                     f"loss became non-finite in epoch {epoch}")
@@ -312,7 +328,8 @@ def train(train_batch, val_batch, config):
             params, state = adam_step(params, grads, state,
                                       lr=config.learning_rate)
             loss_sum += loss * idx.size
-        val_acc = batch_accuracy(params, val_batch) if use_val else math.nan
+        val_acc = (batch_accuracy(TrainedModel(config, params, scaler=scaler),
+                                  val_batch) if use_val else math.nan)
         history.append({"epoch": epoch, "loss": loss_sum / n,
                         "val_accuracy": val_acc})
         if use_val and val_acc > best_acc:

@@ -58,6 +58,15 @@ class PlantConfig:
             raise DimensionError("need one noise std per sensor")
         if np.any(self.noise_std < 0):
             raise ConfigError("noise stds must be nonnegative")
+        # records past DIVERGENCE_LIMIT count as divergence, so inputs
+        # that alone exceed it are a config fault, not a numeric one
+        if np.any(self.noise_std > DIVERGENCE_LIMIT):
+            raise ConfigError(f"noise stds must be at most "
+                              f"{DIVERGENCE_LIMIT:g}")
+        if np.any(np.abs(np.asarray(self.setpoints, dtype=np.float64))
+                  > DIVERGENCE_LIMIT):
+            raise ConfigError(f"set-points must lie within "
+                              f"+-{DIVERGENCE_LIMIT:g}")
         if any(k <= 0 for k in self.ki):
             raise ConfigError("integral gains must be positive")
 
@@ -168,6 +177,9 @@ def _prbs_injection(plant, prbs, horizon):
     offsets = np.zeros((horizon, plant.n_loops))
     if prbs is None:
         return offsets
+    if abs(prbs.amplitude) > DIVERGENCE_LIMIT:
+        raise ConfigError(f"PRBS amplitude {prbs.amplitude:g} exceeds the "
+                          f"divergence limit {DIVERGENCE_LIMIT:g}")
     loop = _target_loop(prbs.target, plant.n_loops)
     wave = prbs_waveform(prbs, horizon, plant.t_s)
     mask = schedule_injection(horizon, prbs.burst_len, prbs.burst_interval)

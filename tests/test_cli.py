@@ -939,6 +939,32 @@ def test_plant_or_fault_index_out_of_range_exits_one(tmp_path, capsys,
         ["simulate", "--config", cfg, "--out", str(tmp_path / "run")], capsys)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries, word", [
+    ({"plant": {"noise_std": [1e308] + [1.0] * 7}}, "noise"),
+    ({"plant": {"setpoints": [1e308, 5.0]}}, "set-point"),
+    ({"plant": {"setpoints": [10.0, -2e6]}}, "set-point"),
+    ({"prbs": {"tau_ol": 3000.0, "tau_cl": 1000.0, "amplitude": 1e308}},
+     "amplitude"),
+    ({"prbs": "PLAN"}, "amplitude"),
+], ids=["noise_std", "setpoint", "negative_setpoint", "band_amplitude",
+        "plan_file_amplitude"])
+def test_input_beyond_the_divergence_limit_exits_one(tmp_path, capsys,
+                                                     entries, word):
+    # no run can keep its records under DIVERGENCE_LIMIT with such input,
+    # so the fault is the config's, not a numeric divergence (exit 2)
+    if entries.get("prbs") == "PLAN":
+        plan = default_excitation(default_plant())
+        save_plan(PrbsPlan(**{**plan.__dict__, "amplitude": 1e308}),
+                  tmp_path / "plan.json")
+        entries = {"prbs": str(tmp_path / "plan.json")}
+    cfg = write_config(tmp_path / "sim.json",
+                       {"seed": 1, "horizon": 60, **entries})
+    err = _assert_one_line_exit_one(
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "run")], capsys)
+    assert word in err
+
+
 def test_negative_incipient_class_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "l1.json",
                        {"seed": 1, "surrogate": TINY_SURROGATE,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,20 @@ def test_scaler_fit_rejects_data_whose_statistics_overflow():
     # squaring 1e200 overflows; the std used to come out infinite
     with pytest.raises(FormatError, match="overflow float64"):
         Scaler.fit(data * 1e200)
+
+
+def test_scaler_apply_makes_one_array_of_the_same_bits():
+    data = np.random.default_rng(2).normal(3.0, 2.0, size=(200, 100, 52))
+    scaler = Scaler.fit(data[:20])
+    tracemalloc.start()
+    try:
+        out = scaler.apply(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == ((data - scaler.mean) / scaler.std).tobytes()
+    # that expression keeps two full-size temporaries alive at once
+    assert peak < 1.1 * data.nbytes
 
 
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"mean": [0.0]}',

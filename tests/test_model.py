@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -262,6 +263,31 @@ def test_train_gives_the_bits_of_standardize_then_train():
         "405b140ca004b23f6b15aa127c7124d1ceef0dfff73f4a8a1592789f737a2f74"
 
 
+def test_train_scales_each_minibatch_to_the_bits_of_a_scaled_copy(
+        monkeypatch):
+    # SHA-256 of the parameter bytes and the history that train gave when
+    # it standardized whole copies of both batches before its first step
+    # (single-threaded); the validation batch here spans several predict
+    # chunks of 10 windows
+    monkeypatch.setattr(fddkit.model, "PREDICT_CHUNK_VALUES", 10 * 8 * 52)
+    rng = np.random.default_rng(19)
+    shift = rng.normal(size=(4, 1, 52))
+    labels = rng.integers(4, size=90)
+    windows = 2.0 + 3.0 * rng.normal(size=(90, 8, 52)) + shift[labels]
+    train_b = WindowBatch(windows[:50], labels[:50])
+    val_b = WindowBatch(windows[50:], labels[50:])
+    cfg = ModelConfig(encoder=(6,), decoder=(52,), n_features=52,
+                      n_classes=4, horizon=8, epochs=4, batch_size=16,
+                      learning_rate=0.05, seed=5)
+    model = train(train_b, val_b, cfg)
+    digest = hashlib.sha256()
+    for a in model.params.flat_arrays():
+        digest.update(a.tobytes())
+    digest.update(repr(model.history).encode())
+    assert digest.hexdigest() == \
+        "82f096dadb92ce1c1f7cda99ea044a41cd93087fca9baf6bff502a28acfe89d1"
+
+
 def test_train_raises_on_divergence():
     cfg = tiny_config(epochs=2, learning_rate=1e160, batch_size=4)
     with np.errstate(over="ignore"):
@@ -409,6 +435,55 @@ def test_forward_snapshot_reproduces():
     np.testing.assert_array_equal(
         latent[0], [-0.03639947660598959, -0.029703066022225288,
                     0.05424758241755028])
+
+
+@pytest.mark.parametrize("d_h", [12, 16])
+def test_predict_in_chunks_gives_the_one_chunk_bits(monkeypatch, d_h):
+    rng = np.random.default_rng(d_h)
+    windows = 0.5 + 2.0 * rng.normal(size=(103, 15, 52))
+    cfg = ModelConfig(encoder=(d_h,), decoder=(52,), n_features=52,
+                      n_classes=5, horizon=15, seed=d_h)
+    model = TrainedModel(cfg, build_params(cfg), [], Scaler.fit(windows))
+    chunks = []
+    real = fddkit.model.predict_proba
+
+    def recording(params, chunk):
+        chunks.append(real(params, chunk))
+        return chunks[-1]
+
+    monkeypatch.setattr(fddkit.model, "predict_proba", recording)
+    whole = model.predict(windows)
+    [whole_probs] = chunks
+    chunks.clear()
+    # 12 chunks of 9 and 8 windows, none above the limit
+    monkeypatch.setattr(fddkit.model, "PREDICT_CHUNK_VALUES", 9 * 15 * 52)
+    assert model.predict(windows).tobytes() == whole.tobytes()
+    assert np.concatenate(chunks).tobytes() == whole_probs.tobytes()
+    assert sorted({len(c) for c in chunks}) == [8, 9]
+    # a one-window product would take another BLAS path, so even a limit
+    # below one window leaves at least two per chunk
+    monkeypatch.setattr(fddkit.model, "PREDICT_CHUNK_VALUES", 1)
+    for n, sizes in ((1, [1]), (2, [2]), (3, [3]), (5, [3, 2])):
+        chunks.clear()
+        model.predict(windows[:n])
+        assert [len(c) for c in chunks] == sizes
+
+
+def test_predict_memory_is_bounded_by_the_chunk_not_the_batch():
+    # 62.4 MB of 52-channel windows of 150 steps: scaling and projecting
+    # them whole took 160 MB above the input; chunks take about 20 MB
+    cfg = ModelConfig(encoder=(16,), decoder=(52,), n_features=52,
+                      n_classes=21, horizon=150, seed=1)
+    windows = np.random.default_rng(1).normal(size=(1000, 150, 52))
+    model = TrainedModel(cfg, build_params(cfg), [],
+                         Scaler.fit(windows[:100]))
+    tracemalloc.start()
+    try:
+        model.predict(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
 
 
 def test_model_save_load_round_trip(tmp_path):
