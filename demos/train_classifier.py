@@ -20,7 +20,8 @@ print(f"windows: {len(train_b)} train / {len(val_b)} val / "
       f"{len(test_b)} test")
 
 config = classifier_config(n_classes=11, seed=1, spec=spec,
-                           n_features=train_b.n_features)
+                           n_features=train_b.n_features,
+                           horizon=train_b.horizon)
 model = train(train_b, val_b, config)
 
 for row in model.history[::3]:

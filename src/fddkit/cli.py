@@ -213,9 +213,8 @@ def cmd_ingest(args):
         if len(part) == 0:
             counts[name] = 0
             continue
-        scaled = part.scaled(scaler)
-        np.save(out / f"{name}_windows.npy", scaled.windows)
-        np.save(out / f"{name}_labels.npy", scaled.labels)
+        np.save(out / f"{name}_windows.npy", scaler.apply(part.windows))
+        np.save(out / f"{name}_labels.npy", part.labels)
         counts[name] = len(part)
     scaler.save(out / "scaler.json")
     meta = {"window": window, "n_features": batch.n_features,
@@ -308,8 +307,10 @@ def _training_data(cfg, mode, seed, surrogate_val=False):
             lmap.n_classes(mode), spec)
 
 
-def _model_config(cfg, spec, n_classes, n_features, seed):
-    base = classifier_config(n_classes, seed, spec, n_features=n_features)
+def _model_config(cfg, spec, n_classes, train_b, seed):
+    base = classifier_config(n_classes, seed, spec,
+                             n_features=train_b.n_features,
+                             horizon=train_b.horizon)
     return dataclasses.replace(base, **read_fields(
         cfg.get("model", {}), MODEL_FIELDS, "model", ConfigError))
 
@@ -318,13 +319,14 @@ def cmd_train(args):
     cfg = _load_config(args.config)
     seed = cfg["seed"]
     train_b, val_b, n_classes, spec = _training_data(cfg, args.mode, seed)
-    mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
+    mcfg = _model_config(cfg, spec, n_classes, train_b, seed)
     model = train(train_b, val_b, mcfg)
     out = _out_dir(args)
     save_model(model, out)
-    last = model.history[-1]["loss"] if model.history else float("nan")
+    ran = (f"final epoch loss {model.history[-1]['loss']:.6g}"
+           if model.history else "no epoch ran")
     print(f"trained {args.mode} model ({n_classes} classes, "
-          f"{len(train_b)} windows), final epoch loss {last:.6g}")
+          f"{len(train_b)} windows), {ran}")
     return 0
 
 
@@ -336,7 +338,7 @@ def cmd_tune(args):
                                                      surrogate_val=True)
     if val_b is None:
         raise ConfigError(f"no val split under {cfg['archive']} to tune on")
-    mcfg = _model_config(cfg, spec, n_classes, train_b.n_features, seed)
+    mcfg = _model_config(cfg, spec, n_classes, train_b, seed)
     space = read_fields(cfg.get("search_space", DEFAULT_SEARCH_SPACE),
                         SEARCH_SPACE, "search_space", ConfigError)
     best = tune(train_b, val_b, space, cfg.get("budget", DEFAULT_BUDGET), mcfg)

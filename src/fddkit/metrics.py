@@ -40,9 +40,6 @@ class ConfusionMatrix:
     def total(self):
         return int(self.counts.sum())
 
-    def true_counts(self):
-        return self.counts.sum(axis=1)
-
 
 def confusion(true, pred, n_classes):
     true = np.asarray(true, dtype=np.int64)

@@ -248,8 +248,13 @@ class TrainedModel:
     def predict(self, batch):
         """Class indices for raw windows, an array or a WindowBatch,
         standardized and predicted in equal chunks of at most
-        PREDICT_CHUNK_VALUES input values each."""
+        PREDICT_CHUNK_VALUES input values each; DimensionError for
+        windows of another length than the model was trained on."""
         windows, _ = _as_windows(batch)
+        if windows.shape[1] != self.config.horizon:
+            raise DimensionError(
+                f"windows have {windows.shape[1]} samples, the model was "
+                f"trained on {self.config.horizon}")
         n_chunks = min(-(-windows.size // PREDICT_CHUNK_VALUES),
                        len(windows) // 2)
         preds = []
@@ -298,6 +303,8 @@ def train(train_batch, val_batch, config):
         raise ConfigError("training batch is empty")
     if train_batch.n_features != config.n_features:
         raise DimensionError("training data feature count differs from config")
+    if train_batch.horizon != config.horizon:
+        raise DimensionError("training window length differs from config")
     scaler = Scaler.fit(train_batch.windows)
     use_val = val_batch is not None and len(val_batch) > 0
     params = build_params(config)

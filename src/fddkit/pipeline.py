@@ -114,14 +114,14 @@ def scenario_batch(seed, split, spec=ExperimentSpec(), mode="flat",
 
 
 def classifier_config(n_classes, seed, spec=ExperimentSpec(), *,
-                      n_features):
+                      n_features, horizon):
     decoder = spec.decoder if spec.decoder is not None else (n_features,)
     return ModelConfig(
         encoder=tuple(spec.encoder),
         decoder=tuple(decoder),
         n_features=n_features,
         n_classes=n_classes,
-        horizon=spec.window,
+        horizon=horizon,
         learning_rate=spec.learning_rate,
         epochs=spec.epochs,
         batch_size=spec.batch_size,
@@ -147,7 +147,8 @@ def _fit(seed, spec, mode, train_batch):
     """The mode's classifier on a raw training split that already
     carries the mode's labels."""
     cfg = classifier_config(spec.label_map.n_classes(mode), seed, spec,
-                            n_features=train_batch.n_features)
+                            n_features=train_batch.n_features,
+                            horizon=train_batch.horizon)
     return train(train_batch, None, cfg)
 
 

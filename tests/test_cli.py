@@ -1,6 +1,7 @@
 """End-to-end command-line flows against temporary directories."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -314,6 +315,61 @@ def _corrupt_scaler_text(kind, rng):
            "no_std": {"mean": vals},
            "string_mean": {"mean": "0.0", "std": [1.0] * n}}[kind]
     return json.dumps(rec).encode()
+
+
+def _window_archive(tmp_path, window):
+    """An archive ingested from a two-class text recording with windows
+    of the given length."""
+    rng = np.random.default_rng(window)
+    save_matrix(tmp_path / "data.txt", rng.normal(size=(60, 3)))
+    save_labels(tmp_path / "labels.txt", np.repeat([0, 1], 30))
+    cfg = write_config(tmp_path / "ingest.json", {
+        "seed": 1, "data": str(tmp_path / "data.txt"),
+        "labels": str(tmp_path / "labels.txt"), "window": window})
+    arc = tmp_path / f"arc{window}"
+    assert main(["ingest", "--config", cfg, "--out", str(arc)]) == 0
+    return arc
+
+
+def _train_on(tmp_path, arc, epochs, capsys):
+    """Train a flat model on arc; the line train printed."""
+    cfg = write_config(tmp_path / "train.json", {
+        "seed": 1, "archive": str(arc),
+        "model": {"encoder": [2], "decoder": [3], "epochs": epochs}})
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "model"),
+                 "--mode", "flat"]) == 0
+    return capsys.readouterr().out
+
+
+def test_model_records_its_window_length_and_evaluate_rejects_others(
+        tmp_path, capsys):
+    arc5 = _window_archive(tmp_path, 5)
+    _train_on(tmp_path, arc5, 1, capsys)
+    config = json.loads((tmp_path / "model" / "config.json").read_text())
+    assert config["horizon"] == 5
+
+    def evaluate(arc):
+        cfg = write_config(tmp_path / "eval.json", {
+            "seed": 1, "archive": str(arc),
+            "model": str(tmp_path / "model")})
+        return ["evaluate", "--config", cfg, "--out", str(tmp_path / "rep")]
+
+    assert main(evaluate(arc5)) == 0
+    err = _assert_one_line_exit_one(evaluate(_window_archive(tmp_path, 9)),
+                                    capsys)
+    assert "windows have 9 samples, the model was trained on 5" in err
+
+
+def test_train_line_names_the_final_epoch_loss_or_that_none_ran(tmp_path,
+                                                                 capsys):
+    arc = _window_archive(tmp_path, 5)
+    n_train = json.loads((arc / "meta.json").read_text())["counts"]["train"]
+    head = f"trained flat model (2 classes, {n_train} windows), "
+    assert _train_on(tmp_path, arc, 0, capsys) == head + "no epoch ran\n"
+    line = _train_on(tmp_path, arc, 1, capsys)
+    assert line.startswith(head + "final epoch loss ")
+    assert math.isfinite(float(line.split()[-1]))
 
 
 def _saved_model(directory):

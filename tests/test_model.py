@@ -64,6 +64,18 @@ def test_forward_shapes_and_probabilities():
                       params, cfg)
 
 
+def test_a_model_takes_windows_of_its_training_length_only():
+    with pytest.raises(DimensionError, match="window length"):
+        train(toy_batch(), None, tiny_config(horizon=6))
+    model = train(toy_batch(), None, tiny_config(epochs=1))
+    assert model.predict(toy_batch()).shape == (10,)
+    for length in (4, 6):
+        with pytest.raises(DimensionError,
+                           match=f"{length} samples, the model was "
+                                 f"trained on 5"):
+            model.predict(np.zeros((2, length, 3)))
+
+
 @pytest.mark.parametrize("encoder,horizon", [
     ((4,), 5), ((4, 2), 5), ((4,), 1), ((4, 2), 1)])
 def test_predict_proba_equals_full_forward_exactly(encoder, horizon):

@@ -358,7 +358,8 @@ def test_a_worker_that_dies_raises_in_the_caller(monkeypatch):
 def test_tune_classifier_smoke():
     train_b = scenario_batch(1, "train", TINY)
     val_b = scenario_batch(1, "val", TINY)
-    cfg = classifier_config(2, 1, TINY, n_features=train_b.n_features)
+    cfg = classifier_config(2, 1, TINY, n_features=train_b.n_features,
+                            horizon=train_b.horizon)
     best = tune(train_b, val_b, {"learning_rate": [0.01, 0.05]}, 2, cfg)
     assert best.learning_rate in (0.01, 0.05)
     assert best.epochs == cfg.epochs
