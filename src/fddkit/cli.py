@@ -4,6 +4,14 @@ Every run is driven by one JSON config file with a mandatory integer
 seed. Exit codes: 0 on success, 1 for any input problem (bad config,
 unreadable data, infeasible design), 2 when a computation diverges
 numerically.
+
+train, tune and evaluate read one data source, which decides the keys
+that apply: an "archive" (an ingest output directory) with "n_classes"
+and "incipient" (default plant.INCIPIENT_CLASSES), or else surrogate
+data from the "surrogate" recipe (classes, incipient, n_series,
+n_series_level2, horizon, window, onset), which alone gives the
+classes, probed at level 2 with a "prbs" plan. The network and its
+training come from "model" for either.
 """
 
 import argparse
@@ -20,15 +28,15 @@ from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      make_windows, read_fields, read_json, save_labels,
                      save_matrix, split, write_json)
 from .errors import ConfigError, FddError, FormatError, NumericError
-from .hierarchy import MODES, HierarchicalModel, LabelMap, check_mode
+from .hierarchy import MODES, HierarchicalModel, LabelMap
 from .metrics import format_report, load_report, save_report
 from .model import (DEFAULT_BUDGET, DEFAULT_SEARCH_SPACE, MODEL_FIELDS,
                     load_model, save_model, train, tune)
 from .pipeline import (ExperimentSpec, classifier_config,
                        default_excitation, evaluate_classifier,
                        hierarchical_report, scenario_batch)
-from .plant import (FaultSpec, _target_loop, default_fault_library,
-                    default_plant, simulate_scenario)
+from .plant import (INCIPIENT_CLASSES, FaultSpec, _target_loop,
+                    default_fault_library, default_plant, simulate_scenario)
 from .prbs import (DEFAULT_TARGET, BandSpec, design_band, load_plan,
                    plan_from_band, save_plan)
 
@@ -41,7 +49,7 @@ CONFIG = {
     "window": INTEGER, "expected_cols": INTEGER, "split": OBJECT,
     "contiguous": BOOL, "scaler": PATH, "archive": PATH,
     "n_classes": INTEGER, "incipient": INTEGERS, "surrogate": OBJECT,
-    "model": OBJECT, "mode": STRING, "budget": INTEGER,
+    "model": OBJECT, "budget": INTEGER,
     "search_space": OBJECT, "level1": PATH, "level2": PATH, "report": PATH,
 }
 PLANT = {
@@ -61,12 +69,10 @@ PRBS = {
     "amplitude": NUMBER, "burst_len": INTEGER, "burst_interval": INTEGER,
     "target": LOOP,
 }
-PLAN_REF = {"plan": PATH}
 SURROGATE = {
     "classes": INTEGERS, "incipient": INTEGERS, "n_series": INTEGER,
     "n_series_level2": INTEGER, "horizon": INTEGER, "window": INTEGER,
-    "onset": INTEGER, "epochs": INTEGER, "learning_rate": NUMBER,
-    "batch_size": INTEGER, "encoder": INTEGERS, "decoder": INTEGERS,
+    "onset": INTEGER,
 }
 SPLIT = {"train": NUMBER, "val": NUMBER, "test": NUMBER}
 SEARCH_SPACE = {
@@ -85,6 +91,17 @@ def _load_config(path, required=(), **kinds):
                       required=("seed", *required))
     if cfg["seed"] < 0:   # numpy's generators take no negative seed
         raise ConfigError(f"config key 'seed' must be >= 0, not {cfg['seed']}")
+    # the data source decides the keys: an archive brings its data and
+    # its alphabet, n_classes and incipient; the surrogate recipe gives
+    # both, probed with the prbs plan
+    source = "archive" if "archive" in cfg else "surrogate"
+    for key in {"archive": ("surrogate", "prbs"),
+                "surrogate": ("n_classes", "incipient")}[source]:
+        if key in cfg:
+            raise ConfigError(f"config key {key!r} does not apply to "
+                              f"{source} data")
+    if source == "archive":
+        cfg.setdefault("incipient", INCIPIENT_CLASSES)
     return cfg
 
 
@@ -124,9 +141,6 @@ def _plan_from(cfg, plant):
         return default_excitation(plant)
     if isinstance(node, str):
         return load_plan(node)
-    if "plan" in node:
-        return load_plan(
-            read_fields(node, PLAN_REF, "prbs", ConfigError)["plan"])
     band_keys = (("tau_ol", "tau_cl") if "tau_ol" in node or "tau_cl" in node
                  else ("omega_low", "omega_high"))
     node = read_fields(node, PRBS, "prbs", ConfigError, required=band_keys)
@@ -255,90 +269,79 @@ def _archive_batch(directory, name):
     return WindowBatch(windows=_load_array(wfile), labels=labels)
 
 
-def _label_map(cfg, spec, n_classes):
-    """The two-level label map over n_classes classes, with the config's
-    incipient classes or else the recipe's."""
-    # the recipe decides which classes are simulated for level 2, so a
-    # second incipient list would relabel classes never simulated
-    if "archive" not in cfg and "incipient" in cfg and \
-            set(cfg["incipient"]) != set(spec.incipient):
-        raise ConfigError(
-            f"config key 'incipient' {list(cfg['incipient'])} differs "
-            f"from the surrogate recipe's {list(spec.incipient)}; "
-            f"give the incipient classes under 'surrogate'")
-    return LabelMap(cfg.get("incipient", spec.incipient), n_classes)
+def _data(cfg, seed, split, mode="flat", plan=None, lmap=None):
+    """(batch, label map): the split as a model of mode reads it, and
+    the data source's class alphabet.
 
-
-def _training_data(cfg, mode, seed, surrogate_val=False):
-    """(train_batch, val_batch_or_None, n_classes, spec) for one mode.
-
-    Surrogate data is the mode's scenario_batch, probed with the config's
-    plan for level 2; its val split is built only when surrogate_val is
-    set. An archive brings its own val split, relabelled for the mode.
+    Surrogate data is the mode's scenario_batch of the split, recorded
+    with plan running, under the recipe's label map. An archive's saved
+    split is checked against lmap, by default the archive's n_classes
+    classes (else one more than the split's largest label) with, for
+    the two-level modes, its incipient ones, and relabelled for mode.
     """
-    spec = _spec_from(cfg)
     if "archive" not in cfg:
-        # checks a top-level incipient list before anything is simulated
-        lmap = _label_map(cfg, spec, spec.label_map.n_original)
-        n_classes = lmap.n_classes(mode)
-        plan = _plan_from(cfg, spec.plant_factory(seed=0))
-        prbs = plan if mode == "level2" else None
-        train_b = scenario_batch(seed, "train", spec, mode, prbs)
-        val_b = (scenario_batch(seed, "val", spec, mode, prbs)
-                 if surrogate_val else None)
-        return train_b, val_b, n_classes, spec
+        spec = _spec_from(cfg)
+        return scenario_batch(seed, split, spec, mode, plan), spec.label_map
     archive = cfg["archive"]
-    train_b = _archive_batch(archive, "train")
-    if train_b is None:
-        raise ConfigError(f"no train split under {archive}")
-    val_b = _archive_batch(archive, "val")
-    n_classes = cfg.get("n_classes", int(train_b.labels.max()) + 1)
+    batch = _archive_batch(archive, split)
+    if batch is None:
+        raise ConfigError(f"no {split} split under {archive}")
+    if lmap is None:
+        n_classes = cfg.get("n_classes", int(batch.labels.max(initial=0)) + 1)
+        # a flat model reads the labels as they are
+        lmap = LabelMap(() if mode == "flat" else cfg["incipient"], n_classes)
     # level 2 keeps only the merged group's windows, so a label outside
     # the alphabet would be dropped there, not reported
-    for b in (train_b, val_b):
-        if b is not None and np.any((b.labels < 0) | (b.labels >= n_classes)):
-            raise ConfigError(
-                f"archive labels outside the {n_classes} classes")
-    if mode == "flat":
-        return train_b, val_b, n_classes, spec
-    lmap = _label_map(cfg, spec, n_classes)
-    return (lmap.relabel(train_b, mode),
-            None if val_b is None else lmap.relabel(val_b, mode),
-            lmap.n_classes(mode), spec)
+    if np.any((batch.labels < 0) | (batch.labels >= lmap.n_original)):
+        raise ConfigError(
+            f"archive labels outside the {lmap.n_original} classes")
+    return lmap.relabel(batch, mode), lmap
 
 
-def _model_config(cfg, spec, n_classes, train_b, seed):
-    base = classifier_config(n_classes, seed, spec,
-                             n_features=train_b.n_features,
+def _model_config(cfg, n_classes, train_b, seed):
+    base = classifier_config(n_classes, seed, n_features=train_b.n_features,
                              horizon=train_b.horizon)
     return dataclasses.replace(base, **read_fields(
         cfg.get("model", {}), MODEL_FIELDS, "model", ConfigError))
 
 
+def _level2_plan(cfg, mode):
+    """The plan level-2 training data is recorded with; read, and so
+    checked, in every mode. Without a prbs key no plant is built: its
+    eigenvalue check alone adds about 1 MiB to an archive run's peak."""
+    plan = _plan_from(cfg, default_plant()) if "prbs" in cfg else None
+    return plan if mode == "level2" else None
+
+
 def cmd_train(args):
     cfg = _load_config(args.config)
-    seed = cfg["seed"]
-    train_b, val_b, n_classes, spec = _training_data(cfg, args.mode, seed)
-    mcfg = _model_config(cfg, spec, n_classes, train_b, seed)
-    model = train(train_b, val_b, mcfg)
+    seed, mode = cfg["seed"], args.mode
+    train_b, lmap = _data(cfg, seed, "train", mode, _level2_plan(cfg, mode))
+    # an archive's val split, where it has one, picks the best epoch;
+    # surrogate training simulates none
+    val_b = None
+    if "archive" in cfg and \
+            (Path(cfg["archive"]) / "val_windows.npy").exists():
+        val_b, _ = _data(cfg, seed, "val", mode, lmap=lmap)
+    n_classes = lmap.n_classes(mode)
+    model = train(train_b, val_b,
+                  _model_config(cfg, n_classes, train_b, seed))
     out = _out_dir(args)
     save_model(model, out)
     ran = (f"final epoch loss {model.history[-1]['loss']:.6g}"
            if model.history else "no epoch ran")
-    print(f"trained {args.mode} model ({n_classes} classes, "
+    print(f"trained {mode} model ({n_classes} classes, "
           f"{len(train_b)} windows), {ran}")
     return 0
 
 
 def cmd_tune(args):
     cfg = _load_config(args.config)
-    seed = cfg["seed"]
-    mode = check_mode(cfg.get("mode", "flat"))
-    train_b, val_b, n_classes, spec = _training_data(cfg, mode, seed,
-                                                     surrogate_val=True)
-    if val_b is None:
-        raise ConfigError(f"no val split under {cfg['archive']} to tune on")
-    mcfg = _model_config(cfg, spec, n_classes, train_b, seed)
+    seed, mode = cfg["seed"], args.mode
+    plan = _level2_plan(cfg, mode)
+    train_b, lmap = _data(cfg, seed, "train", mode, plan)
+    val_b, _ = _data(cfg, seed, "val", mode, plan, lmap)
+    mcfg = _model_config(cfg, lmap.n_classes(mode), train_b, seed)
     space = read_fields(cfg.get("search_space", DEFAULT_SEARCH_SPACE),
                         SEARCH_SPACE, "search_space", ConfigError)
     best = tune(train_b, val_b, space, cfg.get("budget", DEFAULT_BUDGET), mcfg)
@@ -349,50 +352,43 @@ def cmd_tune(args):
     return 0
 
 
-def _test_data(cfg, seed, spec, probed=False):
-    """The test split; probed records it with the probing signal on."""
-    if "archive" in cfg:
-        if probed:
-            raise ConfigError("probed evaluation needs surrogate data, "
-                              "not an archive")
-        batch = _archive_batch(cfg["archive"], "test")
-        if batch is None:
-            raise ConfigError(f"no test split under {cfg['archive']}")
-        return batch
-    plan = None
-    if probed:
-        plant = spec.plant_factory(seed=0)
-        plan = _plan_from(cfg, plant) or default_excitation(plant)
-    return scenario_batch(seed, "test", spec, prbs=plan)
-
-
 def cmd_evaluate(args):
     cfg = _load_config(args.config, ("level1", "level2") if args.hierarchical
                        else ("model",), model=PATH)
     seed = cfg["seed"]
-    spec = _spec_from(cfg)
-    probed = args.prbs == "on"
-    test_b = _test_data(cfg, seed, spec, probed=probed)
-    metadata = {"seed": seed, "horizon": test_b.horizon,
-                "dataset": cfg.get("archive", "surrogate"),
-                "prbs": args.prbs}
+    plan = None
+    if args.prbs == "on":
+        if "archive" in cfg:
+            raise ConfigError("probed evaluation needs surrogate data, "
+                              "not an archive")
+        plant = default_plant()
+        plan = _plan_from(cfg, plant) or default_excitation(plant)
     if args.hierarchical:
-        # level 1 routes on the quiet split; under --prbs on, test_b is
-        # its probed twin and the quiet split, which the flat model never
-        # reads, is built here
-        quiet = _test_data(cfg, seed, spec) if probed else test_b
         level1 = load_model(Path(cfg["level1"]))
-        # level 1 merges the incipient classes into the normal class
-        n_classes = cfg.get("n_classes", level1.params.n_classes + len(
-            set(cfg.get("incipient", spec.incipient))))
+        if "archive" in cfg:
+            # level 1 merges the incipient classes into the normal class
+            incipient = set(cfg["incipient"])
+            lmap = LabelMap(incipient, cfg.get(
+                "n_classes", level1.params.n_classes + len(incipient)))
+        else:
+            lmap = _spec_from(cfg).label_map
         hmodel = HierarchicalModel(level1, load_model(Path(cfg["level2"])),
-                                   _label_map(cfg, spec, n_classes))
-        metadata["model"] = f"{cfg['level1']}+{cfg['level2']}"
-        report = hierarchical_report(hmodel, quiet, test_b, metadata)
+                                   lmap)
+        # level 1 routes on the quiet split, level 2 reads its probed twin
+        quiet, _ = _data(cfg, seed, "test", lmap=lmap)
+        test_b = (quiet if plan is None
+                  else _data(cfg, seed, "test", plan=plan)[0])
+        name = f"{cfg['level1']}+{cfg['level2']}"
     else:
         model = load_model(Path(cfg["model"]))
-        metadata["model"] = cfg["model"]
-        report = evaluate_classifier(model, test_b, metadata=metadata)
+        test_b, _ = _data(cfg, seed, "test", plan=plan)
+        name = cfg["model"]
+    metadata = {"seed": seed, "horizon": test_b.horizon,
+                "dataset": cfg.get("archive", "surrogate"),
+                "prbs": args.prbs, "model": name}
+    report = (hierarchical_report(hmodel, quiet, test_b, metadata)
+              if args.hierarchical
+              else evaluate_classifier(model, test_b, metadata=metadata))
     out = _out_dir(args)
     save_report(report, out)
     print(format_report(report), end="")
@@ -458,6 +454,7 @@ def _build_parser():
 
     p = sub.add_parser("tune", help="successive-halving search")
     common(p)
+    p.add_argument("--mode", choices=MODES, default="flat")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("evaluate", help="score a model, emit a report")

@@ -63,6 +63,8 @@ class LabelMap:
 
     def n_classes(self, mode):
         """The class count of a model trained in mode."""
+        if check_mode(mode) == "flat":   # counted, not listed: it may be huge
+            return self.n_original
         return len(self.classes(mode))
 
     def relabel(self, batch, mode):
@@ -78,8 +80,12 @@ class LabelMap:
             raise ConfigError("label outside the original alphabet")
         # classes the mode does not name: the merged group at level 1,
         # no label (their rows are dropped) at level 2
-        table = np.full(self.n_original, 0 if mode == "level1" else -1,
-                        dtype=np.int64)
+        try:
+            table = np.full(self.n_original, 0 if mode == "level1" else -1,
+                            dtype=np.int64)
+        except ValueError:   # numpy's "array is too big" and its kin
+            raise ConfigError(f"{self.n_original} classes are too many to "
+                              f"relabel") from None
         for k, orig in enumerate(self.classes(mode)):
             if orig >= 0:
                 table[orig] = k

@@ -29,7 +29,7 @@ from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
 LOG_CLAMP = 1e-12
 GRAD_CLIP = 5.0
 # Master weights at this size (the square root of the largest float32,
-# about 1.8e19) or beyond count as divergence; see _step_params.
+# about 1.8e19) or beyond count as divergence; see _check_weights.
 F32_WEIGHT_LIMIT = float(np.sqrt(np.finfo(np.float32).max))
 
 # Learning-rate grid searched by default; the other fields stay at the
@@ -90,6 +90,9 @@ class ModelConfig:
                 f"got {self.decoder[-1]}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, not "
+                              f"{self.learning_rate}")
 
     @property
     def d_z(self):
@@ -265,19 +268,14 @@ class TrainedModel:
         return np.concatenate(preds)
 
 
-def _step_params(params, epoch):
-    """The float32 copy of the master weights that a training step
-    computes with.
-
-    A weight whose square overflows float32 makes the step's loss
-    non-finite, so such weights, and non-finite ones, raise
-    NumericDivergenceError here, before the cast.
-    """
+def _check_weights(params, epoch):
+    """NumericDivergenceError if an Adam update left a master weight
+    non-finite or with a square that overflows float32, which would make
+    the next step's float32 loss non-finite."""
     if not all(np.all(np.abs(a) < F32_WEIGHT_LIMIT)
                for a in params.flat_arrays()):
         raise NumericDivergenceError(
             f"weights outgrew float32 in epoch {epoch}")
-    return params.astype(np.float32)
 
 
 def train(train_batch, val_batch, config):
@@ -297,7 +295,8 @@ def train(train_batch, val_batch, config):
     returned parameters stay float64, so zero epochs return the exact
     initialization and validation scores the same float64 inference as
     predict. Master weights of F32_WEIGHT_LIMIT (about 1.8e19) or more,
-    or a non-finite loss, raise NumericDivergenceError naming the epoch.
+    or a non-finite loss, raise NumericDivergenceError naming the epoch,
+    and a non-finite gradient norm raises it too.
     """
     if len(train_batch) == 0:
         raise ConfigError("training batch is empty")
@@ -319,12 +318,12 @@ def train(train_batch, val_batch, config):
         loss_sum = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            step_params = _step_params(params, epoch)
+            step_params = params.astype(np.float32)
             # an overflow in the float32 step gives an infinite loss,
             # which is reported as divergence just below; the scaled
             # float64 minibatch is passed, not kept, so it is freed once
             # loss_and_grads has cast it
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = loss_and_grads(
                     scaler.apply(train_batch.windows[idx]),
                     train_batch.labels[idx], step_params, config)
@@ -332,8 +331,11 @@ def train(train_batch, val_batch, config):
                 raise NumericDivergenceError(
                     f"loss became non-finite in epoch {epoch}")
             grads, _ = clip_global_norm(grads.astype(np.float64), GRAD_CLIP)
-            params, state = adam_step(params, grads, state,
-                                      lr=config.learning_rate)
+            # an update that overflows is reported as divergence below
+            with np.errstate(over="ignore", invalid="ignore"):
+                params, state = adam_step(params, grads, state,
+                                          lr=config.learning_rate)
+            _check_weights(params, epoch)
             loss_sum += loss * idx.size
         val_acc = (batch_accuracy(TrainedModel(config, params, scaler=scaler),
                                   val_batch) if use_val else math.nan)
@@ -346,8 +348,7 @@ def train(train_batch, val_batch, config):
     return TrainedModel(config, final, history, scaler)
 
 
-def tune(train_batch, val_batch, search_space, budget, base,
-         return_trials=False):
+def tune(train_batch, val_batch, search_space, budget, base):
     """Successive-halving hyperparameter search around a base config.
 
     Samples `budget` configs from the search space with base.seed, trains
@@ -372,7 +373,6 @@ def tune(train_batch, val_batch, search_space, budget, base,
 
     alive = list(range(budget))
     stage = STAGE_EPOCHS
-    log = []
     while len(alive) > 1:
         scored = []
         for j in alive:
@@ -382,14 +382,10 @@ def tune(train_batch, val_batch, search_space, budget, base,
             # epoch's recorded accuracy is the model's: no second pass
             acc = max(row["val_accuracy"] for row in model.history)
             scored.append((j, acc))
-            log.append({"trial": j, "stage_epochs": stage, "val_accuracy": acc})
         scored.sort(key=lambda item: (-item[1], item[0]))
         alive = sorted(j for j, _ in scored[:math.ceil(len(scored) / 2)])
         stage *= 2
-    best = replace(trials[alive[0]], epochs=base.epochs)
-    if return_trials:
-        return best, log
-    return best
+    return replace(trials[alive[0]], epochs=base.epochs)
 
 
 def save_model(model, directory):

@@ -39,12 +39,16 @@ class PlantConfig:
         self.b = np.asarray(self.b, dtype=np.float64)
         self.c = np.asarray(self.c, dtype=np.float64)
         self.noise_std = np.asarray(self.noise_std, dtype=np.float64)
+        if not self.t_s > 0:
+            raise ConfigError(f"sample time t_s must be positive, not "
+                              f"{self.t_s}")
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise DimensionError("state matrix must be square")
         if np.max(np.abs(np.linalg.eigvals(self.a))) >= 1.0:
             raise ConfigError("open-loop state matrix is not stable")
-        if self.b.shape[0] != n or self.c.shape[1] != n:
+        if self.b.ndim != 2 or self.c.ndim != 2 \
+                or self.b.shape[0] != n or self.c.shape[1] != n:
             raise DimensionError("input/output maps do not match the state size")
         n_u = self.b.shape[1]
         if not (len(self.controlled) == len(self.setpoints) == len(self.kp)
@@ -110,6 +114,11 @@ class FaultSpec:
             raise ConfigError("onset must be nonnegative")
         if not np.isfinite(self.magnitude):
             raise ConfigError("magnitude must be finite")
+        if not 0 <= self.fault_class <= np.iinfo(np.int64).max:
+            raise ConfigError(f"fault_class must be a nonnegative int64, "
+                              f"not {self.fault_class}")
+        if not self.std >= 0:
+            raise ConfigError(f"std must be nonnegative, not {self.std}")
 
 
 @dataclass
@@ -166,9 +175,19 @@ def equilibrium(plant):
     """Steady state (x*, u*) putting every controlled output on set-point."""
     n = plant.a.shape[0]
     inv = np.linalg.inv(np.eye(n) - plant.a)
-    g = plant.c[list(plant.controlled)] @ inv @ plant.b
-    u_star = np.linalg.solve(g, np.asarray(plant.setpoints, dtype=np.float64))
-    x_star = inv @ plant.b @ u_star
+    # a singular or overflowing gain is checked below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = plant.c[list(plant.controlled)] @ inv @ plant.b
+        try:
+            u_star = np.linalg.solve(g, np.asarray(plant.setpoints,
+                                                   dtype=np.float64))
+        except np.linalg.LinAlgError:   # two loops on one sensor, say
+            u_star = np.full(plant.n_loops, np.nan)
+        x_star = inv @ plant.b @ u_star
+    if not (np.all(np.isfinite(u_star)) and np.all(np.isfinite(x_star))):
+        raise ConfigError("no finite input holds every controlled sensor on "
+                          "its set-point: the loops' steady-state gain is "
+                          "singular or overflows")
     return x_star, u_star
 
 
@@ -225,7 +244,12 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
     n_y, n_u = plant.n_outputs, plant.n_loops
     a, b, c = plant.a, plant.b, plant.c
     ki = np.asarray(plant.ki, dtype=np.float64)
-    integ = (u_star / ki).tolist()
+    with np.errstate(over="ignore"):
+        integ = u_star / ki
+    if not np.all(np.isfinite(integ)):
+        raise ConfigError("integral gains too small for the integrators to "
+                          "hold the equilibrium input")
+    integ = integ.tolist()
     loops = list(zip(range(n_u), plant.controlled,
                      np.asarray(plant.kp, dtype=np.float64).tolist(),
                      ki.tolist()))

@@ -117,7 +117,14 @@ def plan_from_band(band, t_s, amplitude, burst_len=DEFAULT_BURST_LEN,
         raise DesignError("sample time must be positive")
     if amplitude <= 0:
         raise DesignError("amplitude must be positive")
-    k = int(2.8 / (band.omega_high * t_s))
+    ratio = 2.8 / band.omega_high / t_s
+    # past 2**53 samples a float no longer tells k from k + 1
+    if not ratio < 2 ** 53:
+        raise DesignError(
+            f"sample time {t_s:.6g} s is too short for omega_high "
+            f"{band.omega_high:.6g} rad/s: the clock period would span "
+            f"{ratio:.6g} samples")
+    k = int(ratio)
     # Guard the integer boundary against floating-point rounding either way.
     while 2.8 / ((k + 1) * t_s) >= band.omega_high:
         k += 1

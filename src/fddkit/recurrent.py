@@ -46,7 +46,8 @@ import struct
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, NumericError
+from .errors import (DimensionError, FormatError, NumericDivergenceError,
+                     NumericError)
 
 _MAGIC = b"FDK1"
 
@@ -249,7 +250,11 @@ def init_params(layer_dims, n_classes, seed, n_encoder=None):
         n_encoder = len(layers)
     d_z = layers[n_encoder - 1].d_h
     sc = np.sqrt(1.0 / d_z)
-    W_c = rng.uniform(-sc, sc, size=(n_classes, d_z))
+    try:
+        W_c = rng.uniform(-sc, sc, size=(n_classes, d_z))
+    except ValueError:
+        raise DimensionError(f"a head of {n_classes} classes on {d_z} "
+                             f"latents is too large to allocate") from None
     b_c = np.zeros(n_classes)
     return ParamSet(layers, W_c, b_c, n_encoder)
 
@@ -502,8 +507,11 @@ def global_norm(grads):
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
+    """Scale all gradients down so their joint L2 norm is at most max_norm;
+    NumericDivergenceError if the norm is not finite."""
     norm = global_norm(grads)
+    if not np.isfinite(norm):
+        raise NumericDivergenceError(f"gradient norm became {norm}")
     if norm <= max_norm or norm == 0.0:
         return grads, norm
     scale = max_norm / norm

@@ -186,8 +186,7 @@ def test_criterion_7_pipeline_determinism(tmp_path, monkeypatch):
     bytes. Paths inside the configs are relative so the two runs differ
     only in working directory."""
     surr = {"classes": [0, 1, 2], "incipient": [], "n_series": 1,
-            "horizon": 120, "onset": 40, "window": 10, "epochs": 2,
-            "encoder": [5]}
+            "horizon": 120, "onset": 40, "window": 10}
     sim_cfg = tmp_path / "sim.json"
     sim_cfg.write_text(json.dumps(
         {"seed": 3, "horizon": 160, "fault": {"class": 2, "onset": 50},
@@ -197,7 +196,9 @@ def test_criterion_7_pipeline_determinism(tmp_path, monkeypatch):
         {"seed": 3, "data": "sim/records.txt", "labels": "sim/labels.txt",
          "window": 12, "split": {"train": 0.6, "val": 0.2, "test": 0.2}}))
     train_cfg = tmp_path / "train.json"
-    train_cfg.write_text(json.dumps({"seed": 3, "surrogate": surr}))
+    train_cfg.write_text(json.dumps(
+        {"seed": 3, "surrogate": surr, "model": {"epochs": 2,
+                                                 "encoder": [5]}}))
     eval_cfg = tmp_path / "eval.json"
     eval_cfg.write_text(json.dumps(
         {"seed": 3, "surrogate": surr, "model": "model"}))

@@ -1,7 +1,12 @@
 """End-to-end command-line flows against temporary directories."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +35,16 @@ TINY_SURROGATE = {
     "horizon": 120,
     "onset": 40,
     "window": 10,
-    "epochs": 2,
-    "encoder": [5],
 }
+# the network and its training, which train and tune read from "model"
+TINY_MODEL = {"epochs": 2, "encoder": [5]}
+
+
+def tiny_spec(surrogate):
+    """The library recipe a config's surrogate node and TINY_MODEL give."""
+    return dataclasses.replace(
+        fddkit.cli._spec_from({"surrogate": surrogate}), epochs=2,
+        encoder=(5,))
 
 
 def write_config(path, payload):
@@ -137,7 +149,8 @@ def test_ingest_with_saved_scaler(tmp_path):
 
 def test_train_evaluate_flat_surrogate(tmp_path):
     train_cfg = write_config(tmp_path / "train.json",
-                             {"seed": 2, "surrogate": TINY_SURROGATE})
+                             {"seed": 2, "surrogate": TINY_SURROGATE,
+                              "model": TINY_MODEL})
     model_dir = tmp_path / "model"
     assert main(["train", "--config", train_cfg, "--out", str(model_dir),
                  "--mode", "flat"]) == 0
@@ -163,16 +176,15 @@ def test_hierarchical_cli_flow(tmp_path):
         "horizon": 120,
         "onset": 40,
         "window": 10,
-        "epochs": 2,
-        "encoder": [5],
     }
-    base = {"seed": 4, "surrogate": surr, "incipient": [3, 11]}
+    base = {"seed": 4, "surrogate": surr}
     l1 = tmp_path / "l1"
     l2 = tmp_path / "l2"
-    c1 = write_config(tmp_path / "l1.json", base)
+    c1 = write_config(tmp_path / "l1.json", {**base, "model": TINY_MODEL})
     assert main(["train", "--config", c1, "--out", str(l1),
                  "--mode", "level1"]) == 0
-    c2 = write_config(tmp_path / "l2.json", {**base, "prbs": "default"})
+    c2 = write_config(tmp_path / "l2.json", {**base, "prbs": "default",
+                                             "model": TINY_MODEL})
     assert main(["train", "--config", c2, "--out", str(l2),
                  "--mode", "level2"]) == 0
     ev = write_config(tmp_path / "ev.json",
@@ -187,6 +199,7 @@ def test_hierarchical_cli_flow(tmp_path):
 def test_tune_cli(tmp_path):
     cfg = write_config(tmp_path / "tune.json",
                        {"seed": 1, "surrogate": TINY_SURROGATE,
+                        "model": TINY_MODEL,
                         "search_space": {"learning_rate": [0.01, 0.05]},
                         "budget": 2})
     out = tmp_path / "tuned"
@@ -206,9 +219,9 @@ def test_tune_level2_validates_on_its_training_recipe(tmp_path, monkeypatch):
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
             "incipient": [3, 11], "n_series_level2": 2}
     cfg = write_config(tmp_path / "tune.json",
-                       {"seed": 1, "surrogate": surr, "mode": "level2",
+                       {"seed": 1, "surrogate": surr, "model": TINY_MODEL,
                         "prbs": "default"})
-    assert main(["tune", "--config", cfg,
+    assert main(["tune", "--mode", "level2", "--config", cfg,
                  "--out", str(tmp_path / "tuned")]) == 0
     train_b, val_b = seen["train"], seen["val"]
     assert set(val_b.labels) == set(train_b.labels) == {0, 1, 2}
@@ -218,7 +231,7 @@ def test_tune_level2_validates_on_its_training_recipe(tmp_path, monkeypatch):
 def test_divergence_exit_code(tmp_path):
     cfg = write_config(tmp_path / "train.json",
                        {"seed": 2, "surrogate": TINY_SURROGATE,
-                        "model": {"learning_rate": 1e160}})
+                        "model": {**TINY_MODEL, "learning_rate": 1e160}})
     with np.errstate(all="ignore"):
         rc = main(["train", "--config", cfg,
                    "--out", str(tmp_path / "m"), "--mode", "flat"])
@@ -289,13 +302,14 @@ def test_corrupt_params_exit_one(tmp_path, capsys):
 
 def test_tune_rejects_unknown_mode(tmp_path, capsys):
     cfg = write_config(tmp_path / "tune.json",
-                       {"seed": 1, "surrogate": TINY_SURROGATE,
-                        "mode": "sideways"})
-    assert main(["tune", "--config", cfg,
-                 "--out", str(tmp_path / "tuned")]) == 1
+                       {"seed": 1, "surrogate": TINY_SURROGATE})
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--mode", "sideways", "--config", cfg,
+              "--out", str(tmp_path / "tuned")])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("fddkit: ") and err.count("\n") == 1
-    assert "flat, level1, level2" in err and "'sideways'" in err
+    assert "'sideways'" in err and "'level2'" in err
+    assert not (tmp_path / "tuned").exists()
 
 
 def _corrupt_scaler_text(kind, rng):
@@ -476,11 +490,11 @@ def test_ingest_of_data_whose_statistics_overflow_exits_one(tmp_path,
     (["simulate"], {"horizon": 10 ** 16}),
     (["train", "--mode", "flat"], {"surrogate": {"horizon": 10 ** 16}}),
     (["train", "--mode", "flat"],
-     {"surrogate": {**TINY_SURROGATE, "epochs": 1},
-      "model": {"encoder": [10 ** 15]}}),
+     {"surrogate": TINY_SURROGATE,
+      "model": {"epochs": 1, "encoder": [10 ** 15]}}),
     (["train", "--mode", "flat"],
-     {"surrogate": {**TINY_SURROGATE, "epochs": 1},
-      "model": {"encoder": [10 ** 18]}}),
+     {"surrogate": TINY_SURROGATE,
+      "model": {"epochs": 1, "encoder": [10 ** 18]}}),
     (["ingest"], {"window": 0}),
     (["train", "--mode", "flat"],
      {"surrogate": {**TINY_SURROGATE, "window": -3}}),
@@ -773,9 +787,8 @@ def test_search_space_rejects_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [0, 1.5, True, ["records.txt"]])
-@pytest.mark.parametrize("key", ["data", "labels", "scaler", "plan",
-                                 "archive", "model", "level1", "level2",
-                                 "report"])
+@pytest.mark.parametrize("key", ["data", "labels", "scaler", "archive",
+                                 "model", "level1", "level2", "report"])
 def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
                                                     value):
     # 0 is the point: open() takes an integer as a file descriptor, and
@@ -784,9 +797,6 @@ def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
     if key in ("data", "labels", "scaler"):
         argv = ["ingest", "--out", str(tmp_path / "arc")]
         cfg = _ingest_config(tmp_path, scaler=str(tmp_path / "none.json"))
-    elif key == "plan":
-        argv = ["simulate", "--out", str(tmp_path / "run")]
-        cfg = {"seed": 1, "horizon": 60, "prbs": {}}
     elif key == "archive":
         argv = ["train", "--out", str(tmp_path / "m"), "--mode", "flat"]
         cfg = {"seed": 1}
@@ -799,7 +809,7 @@ def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
                "level1": model_dir, "level2": model_dir}
         if key != "model":
             argv.append("--hierarchical")
-    (cfg["prbs"] if key == "plan" else cfg)[key] = value
+    cfg[key] = value
     err = _assert_one_line_exit_one(
         argv + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
     assert f"config key {key!r} must be a path string" in err
@@ -826,8 +836,6 @@ def _node_case(tmp_path, table, node):
                                              **node}}
     if table == "LIBRARY_FAULT":
         return "simulate", {**sim, "fault": {"class": 1, **node}}
-    if table == "PLAN_REF":
-        return "simulate", {**sim, "prbs": node}
     if table == "PRBS":
         return "prbs", {"seed": 0, "prbs": {"tau_ol": 1800.0,
                                             "tau_cl": 1030.0, **node}}
@@ -860,8 +868,8 @@ _WRONG_VALUES = {
 
 
 @pytest.mark.parametrize("table", ["CONFIG", "PLANT", "FAULT",
-                                   "LIBRARY_FAULT", "PLAN_REF", "PRBS",
-                                   "SPLIT", "SURROGATE", "MODEL_FIELDS",
+                                   "LIBRARY_FAULT", "PRBS", "SPLIT",
+                                   "SURROGATE", "MODEL_FIELDS",
                                    "SEARCH_SPACE"])
 def test_every_key_of_every_table_rejects_wrong_kinds(tmp_path, capsys,
                                                       table):
@@ -1023,8 +1031,8 @@ def test_input_beyond_the_divergence_limit_exits_one(tmp_path, capsys,
 
 def test_negative_incipient_class_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "l1.json",
-                       {"seed": 1, "surrogate": TINY_SURROGATE,
-                        "incipient": [-1]})
+                       {"seed": 1, "surrogate": {**TINY_SURROGATE,
+                                                 "incipient": [-1]}})
     err = _assert_one_line_exit_one(
         ["train", "--config", cfg, "--out", str(tmp_path / "l1"),
          "--mode", "level1"], capsys)
@@ -1035,14 +1043,13 @@ def test_negative_incipient_class_exits_one(tmp_path, capsys):
 def test_incipient_differing_from_the_surrogate_recipe_exits_one(
         tmp_path, capsys, command):
     # the recipe simulates classes 0 and 3 for level 2; relabelling by
-    # [3, 9] would give a 3-class specialist that never saw class 9
+    # [3, 9] would give a 3-class specialist that never saw class 9, so
+    # surrogate data takes its incipient classes from the recipe alone
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 9], "incipient": [3]}
     cfg = write_config(tmp_path / "c.json",
-                       {"seed": 1, "surrogate": surr, "incipient": [3, 9],
-                        "mode": "level2"})
+                       {"seed": 1, "surrogate": surr, "incipient": [3, 9]})
     out = tmp_path / "out"
-    argv = ({"train": ["train", "--mode", "level2"], "tune": ["tune"]}
-            [command] + ["--config", cfg, "--out", str(out)])
+    argv = [command, "--mode", "level2", "--config", cfg, "--out", str(out)]
     err = _assert_one_line_exit_one(argv, capsys)
     assert "'incipient'" in err
     assert not out.exists()
@@ -1061,6 +1068,133 @@ def test_incipient_mismatch_exits_before_anything_is_simulated(
         ["train", "--mode", "level1", "--config", cfg,
          "--out", str(tmp_path / "out")], capsys)
     assert "'incipient'" in err
+
+
+_MISPLACED = {
+    # each of these was read from a second home, or ignored, and exited 0;
+    # the test puts an archive and a plan file in place of ARC and PLAN
+    **{f"surrogate_{key}": (["train", "--mode", "flat"],
+                            {"surrogate": {**TINY_SURROGATE, key: value}}, key)
+       for key, value in {"epochs": 1, "encoder": [3], "decoder": [3],
+                          "batch_size": 8, "learning_rate": 0.1}.items()},
+    "archive_surrogate": (["train", "--mode", "flat"],
+                          {"archive": "ARC", "surrogate": TINY_SURROGATE},
+                          "surrogate"),
+    "archive_prbs": (["train", "--mode", "level2"],
+                     {"archive": "ARC", "prbs": "no_plan.json"}, "prbs"),
+    "n_classes": (["train", "--mode", "flat"],
+                  {"surrogate": TINY_SURROGATE, "n_classes": 3}, "n_classes"),
+    "incipient": (["train", "--mode", "level2"],
+                  {"surrogate": {**TINY_SURROGATE, "classes": [0, 1, 2, 3],
+                                 "incipient": [3]}, "incipient": [3]},
+                  "incipient"),
+    "plan_node": (["simulate"], {"prbs": {"plan": "PLAN"}}, "plan"),
+    "tune_mode": (["tune"], {"surrogate": TINY_SURROGATE, "mode": "level2"},
+                  "mode"),
+}
+
+
+@pytest.mark.parametrize("case", _MISPLACED)
+def test_key_the_data_source_does_not_take_exits_one_naming_it(
+        tmp_path, capsys, monkeypatch, case):
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", simulating)
+    argv, entries, key = _MISPLACED[case]
+    cfg = {"seed": 1, **entries}
+    if "archive" in cfg:
+        cfg["archive"] = str(_window_archive(tmp_path, 5))
+    if case == "plan_node":
+        save_plan(default_excitation(default_plant()), tmp_path / "plan.json")
+        cfg["prbs"] = {"plan": str(tmp_path / "plan.json")}
+    out = tmp_path / "out"
+    err = _assert_one_line_exit_one(
+        [*argv, "--config", write_config(tmp_path / "c.json", cfg),
+         "--out", str(out)], capsys)
+    assert repr(key) in err
+    assert not out.exists()
+
+
+def _prbs_design_subprocess(tmp_path, cfg):
+    """(exit code, stderr) of `prbs design` run in its own interpreter,
+    which a run that never returns cannot outlast."""
+    src = str(Path(fddkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "fddkit.cli", "prbs", "design", "--config",
+         write_config(tmp_path / "c.json", cfg), "--out",
+         str(tmp_path / "plan")],
+        capture_output=True, text=True, env=env, timeout=60)
+    return run.returncode, run.stderr
+
+
+@pytest.mark.parametrize("cfg", [
+    {"prbs": {"tau_ol": 1800, "tau_cl": 1030, "t_s": 1e-300}},
+    {"plant": {"t_s": 1e-300}, "prbs": "default"},
+], ids=["prbs_t_s", "plant_t_s"])
+def test_sample_time_far_below_the_band_exits_one(tmp_path, cfg):
+    # the clock search stepped k past 2**53, where (k + 1) * t_s no
+    # longer changes, and never returned
+    code, err = _prbs_design_subprocess(tmp_path, {"seed": 0, **cfg})
+    assert code == 1, err
+    assert err.startswith("fddkit: ") and err.count("\n") == 1, err
+    assert "too short" in err
+
+
+@pytest.mark.parametrize("argv, entries, word", [
+    (["prbs", "design"], {"plant": {"t_s": 0}, "prbs": "default"}, "t_s"),
+    (["simulate"], {"plant": {"t_s": -1}, "horizon": 60}, "t_s"),
+    (["simulate"], {"horizon": 60, "fault": {
+        "kind": "random_variation", "target": 0, "std": -1}}, "std"),
+], ids=["t_s_zero", "t_s_negative", "negative_std"])
+def test_nonpositive_sample_time_or_negative_std_exits_one(
+        tmp_path, capsys, argv, entries, word):
+    # t_s 0 divided by zero, -1 simulated silently, std -1 reached numpy
+    cfg = write_config(tmp_path / "c.json", {"seed": 1, **entries})
+    err = _assert_one_line_exit_one(
+        [*argv, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+    assert word in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, entries, code", [
+    (["simulate"], {"plant": {"controlled": [0, 0]}}, 1),
+    (["simulate"], {"plant": {"b": [[0.5, 0.0], [1e308, 0.1], [0.0, 0.4],
+                                    [0.1, 0.3]]}}, 1),
+    (["simulate"], {"plant": {"c": []}}, 1),
+    (["simulate"], {"plant": {"ki": [0.15, 5e-324]}}, 1),
+    (["simulate"], {"fault": {"kind": "step", "target": 0,
+                              "fault_class": 2 ** 64}}, 1),
+    (["train", "--mode", "flat"], {"model": {"lam2": 1e308}}, 2),
+    (["train", "--mode", "flat"], {"model": {"lam3": 1e300}}, 2),
+    (["train", "--mode", "flat"], {"model": {"learning_rate": 1e308}}, 2),
+    (["train", "--mode", "flat"], {"model": {"learning_rate": -0.1}}, 1),
+    (["train", "--mode", "flat"], {"n_classes": 2 ** 63}, 1),
+    (["train", "--mode", "level1"], {"n_classes": 2 ** 62}, 1),
+], ids=["two_loops_one_sensor", "overflowing_gain", "empty_output_map",
+        "subnormal_ki", "fault_class_past_int64", "huge_lam2", "huge_lam3",
+        "huge_learning_rate", "negative_learning_rate", "n_classes_2_63",
+        "level1_n_classes_2_62"])
+def test_configs_the_mutation_sweep_broke_exit_cleanly(tmp_path, capsys,
+                                                      argv, entries, code):
+    # each ended in a traceback or a numpy warning
+    entries = dict(entries)
+    if "n_classes" in entries:
+        base = {"archive": str(_window_archive(tmp_path, 5)),
+                "incipient": [1], "model": {"encoder": [2], "decoder": [3],
+                                            "epochs": 1}}
+    elif argv[0] == "train":
+        base = {"surrogate": TINY_SURROGATE,
+                "model": {**TINY_MODEL, "epochs": 1, **entries.pop("model")}}
+    else:
+        base = {"horizon": 40}
+    cfg = write_config(tmp_path / "c.json", {"seed": 1, **base, **entries})
+    capsys.readouterr()
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) \
+        == code
+    err = capsys.readouterr().err
+    assert err.startswith("fddkit: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["train", "tune"])
@@ -1151,7 +1285,7 @@ def test_flat_probed_evaluate_simulates_the_probed_split_only(tmp_path,
 def test_hierarchical_evaluate_writes_the_hierarchical_report(tmp_path, prbs):
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
             "incipient": [3, 11]}
-    spec = fddkit.cli._spec_from({"surrogate": surr})
+    spec = tiny_spec(surr)
     plan = default_excitation(default_plant())
     hmodel = fit_hierarchical(4, spec, prbs=plan)
     l1, l2 = tmp_path / "l1", tmp_path / "l2"
@@ -1245,8 +1379,9 @@ def test_cli_trains_the_level_models_of_fit_hierarchical(tmp_path):
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
             "incipient": [3, 11], "n_series_level2": 1, "horizon": 150}
     cfg = write_config(tmp_path / "train.json",
-                       {"seed": 2, "surrogate": surr, "prbs": "default"})
-    spec = fddkit.cli._spec_from({"surrogate": surr})
+                       {"seed": 2, "surrogate": surr, "prbs": "default",
+                        "model": TINY_MODEL})
+    spec = tiny_spec(surr)
     hmodel = fit_hierarchical(
         2, spec, prbs=default_excitation(spec.plant_factory(seed=0)))
     for mode, model in (("level1", hmodel.level1),

@@ -379,12 +379,32 @@ def test_tune_budget_one_returns_sampled_config():
     assert cfg.epochs == 7
 
 
-def test_tune_winner_has_best_final_stage_accuracy():
+def logged_trials(monkeypatch, base):
+    """The trial log of the next tune call around base, filled in as
+    tune trains: per trial fit, the trial index (its seed offset),
+    the stage's epoch count and the fit's best val accuracy, which is
+    what tune scores the trial by."""
+    log = []
+    real = fddkit.model.train
+
+    def logged(train_batch, val_batch, cfg):
+        model = real(train_batch, val_batch, cfg)
+        log.append({"trial": cfg.seed - base.seed, "stage_epochs": cfg.epochs,
+                    "val_accuracy": max(row["val_accuracy"]
+                                        for row in model.history)})
+        return model
+
+    monkeypatch.setattr(fddkit.model, "train", logged)
+    return log
+
+
+def test_tune_winner_has_best_final_stage_accuracy(monkeypatch):
     train_b = toy_batch(n_per_class=6, seed=3)
     val_b = toy_batch(n_per_class=3, seed=4)
     space = {"learning_rate": [0.2, 0.05, 1e-5]}
-    best, log = tune(train_b, val_b, space, budget=4,
-                     base=tiny_config(epochs=9), return_trials=True)
+    base = tiny_config(epochs=9)
+    log = logged_trials(monkeypatch, base)
+    best = tune(train_b, val_b, space, budget=4, base=base)
     last_stage = max(rec["stage_epochs"] for rec in log)
     finals = [rec for rec in log if rec["stage_epochs"] == last_stage]
     winner = [rec for rec in finals
@@ -409,8 +429,9 @@ def test_tune_scores_trials_from_training_history(monkeypatch):
         return scored(*args, **kwargs)
 
     monkeypatch.setattr(fddkit.model, "batch_accuracy", counted)
-    best, log = tune(train_b, val_b, {"learning_rate": [0.05]}, budget=4,
-                     base=base, return_trials=True)
+    log = logged_trials(monkeypatch, base)
+    best = tune(train_b, val_b, {"learning_rate": [0.05]}, budget=4,
+                base=base)
     # one validation pass per epoch trained, none after a trial
     assert len(calls) == sum(rec["stage_epochs"] for rec in log)
     monkeypatch.undo()

@@ -1,13 +1,21 @@
-"""A seeded mutation sweep over the files the command line reads back.
+"""Seeded mutation sweeps over the files and configs the command line reads.
 
 One tiny archive, three models, a report and a plan are built once. Each
-case then damages one saved file (flipped bytes, a cut, a JSON value of
-the wrong kind, a deleted key, a huge number), runs one command on it
-in-process and puts the file back. Every run must exit 0, 1 or 2, print
-exactly one ``fddkit:`` line to stderr when it exits nonzero, and warn
-nothing: warnings are errors here. The commands are ones that read the
-files and finish fast (evaluate, report, ingest, simulate, prbs design);
-train and tune are never run on a damaged file.
+case of the file sweep then damages one saved file (flipped bytes, a cut,
+a JSON value of the wrong kind, a deleted key, a huge number), runs one
+command on it in-process and puts the file back. The commands are ones
+that read the files and finish fast (evaluate, report, ingest, simulate,
+prbs design); train and tune are never run on a damaged file.
+
+Each case of the config sweep changes one value of a valid config for
+simulate, prbs design, ingest or train (a value of the wrong kind, a
+deleted key, a huge or a tiny number) at any depth: the plant, fault,
+prbs, surrogate, model and split nodes and the top level. Training runs
+on a few short scenario runs, and an epoch count the mutation raises
+above one is put back to one, so that no case trains for long.
+
+Every run must exit 0, 1 or 2, print exactly one ``fddkit:`` line to
+stderr when it exits nonzero, and warn nothing: warnings are errors here.
 """
 
 import contextlib
@@ -21,11 +29,14 @@ import pytest
 
 from fddkit.cli import main
 from fddkit.dataio import load_labels, load_matrix, save_labels, save_matrix
+from fddkit.plant import default_plant
 
 N_CASES = 500
+N_CONFIG_CASES = 300
 HUGE = (10 ** 18, -10 ** 18, 2 ** 63, 2 ** 64, 1e308, -1e308, 1e300)
 OTHER_KINDS = ("x", "", None, True, False, 1.5, 7, -1, [], [1, "a"], {},
                {"k": 1})
+TINY = (0, 0.0, 1e-300, -1e-300, 5e-324)
 
 
 def _write(path, payload):
@@ -43,8 +54,9 @@ def _run(argv):
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """Paths of the saved files and the runs that read each of them."""
+def root(tmp_path_factory):
+    """A directory with a stacked two-fault recording, its archive, the
+    three models trained on it, their flat report and a plan."""
     root = tmp_path_factory.mktemp("sweep")
     # two short records, one per fault class, stacked into one data file
     parts = []
@@ -82,6 +94,15 @@ def artifacts(tmp_path_factory):
     assert _run(["prbs", "design", "--config",
                  _write(root / "band.json", {"seed": 1}),
                  "--out", str(root / "plan")])[0] == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def artifacts(root):
+    """Paths of the saved files and the runs that read each of them."""
+    arc = root / "archive"
+    evaluate = str(root / "evaluate.json")
+    out = str(root / "out")
     plan = str(root / "plan" / "plan.json")
 
     runs = {
@@ -98,7 +119,7 @@ def artifacts(tmp_path_factory):
                      {"seed": 1, "horizon": 60, "prbs": plan})],
                  ["prbs", "design", "--out", out, "--config", _write(
                      root / "replan.json",
-                     {"seed": 1, "prbs": {"plan": plan}})]],
+                     {"seed": 1, "prbs": plan})]],
         "report": [["report", "--config", _write(
             root / "report.json", {"seed": 1,
                                    "report": str(root / "report")})]],
@@ -125,9 +146,9 @@ def _json_paths(node, path=()):
         yield from _json_paths(value, (*path, key))
 
 
-def _mutate_json(blob, rng):
-    """A wrong-kind value, a deleted key or a huge number, at a random
-    place of a JSON file; None if the file holds no such place."""
+def _mutate_json(blob, rng, pools=(OTHER_KINDS, HUGE)):
+    """A deleted key or a value from one of the pools, at a random place
+    of a JSON file; None if the file holds no such place."""
     doc = json.loads(blob)
     paths = [p for p in _json_paths(doc) if p]
     if not paths:
@@ -136,13 +157,12 @@ def _mutate_json(blob, rng):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    action = rng.integers(3)
+    action = rng.integers(1 + len(pools))
     if action == 0 and isinstance(parent, dict):
         del parent[path[-1]]
-    elif action == 1:
-        parent[path[-1]] = OTHER_KINDS[rng.integers(len(OTHER_KINDS))]
-    else:
-        parent[path[-1]] = HUGE[rng.integers(len(HUGE))]
+    else:   # a list entry takes the last pool's value in place of deletion
+        pool = pools[action - 1]
+        parent[path[-1]] = pool[rng.integers(len(pool))]
     return json.dumps(doc).encode()
 
 
@@ -223,4 +243,97 @@ def test_damaged_files_exit_cleanly(artifacts):
             path.write_bytes(pristine)
     assert not problems, "\n".join(problems)
     # the sweep reaches both the clean failures and intact reads
+    assert codes[0] and codes[1]
+
+
+@pytest.fixture(scope="module")
+def configs(root):
+    """(argv, config) pairs, each a valid run of simulate, prbs design,
+    ingest or train that finishes in well under a second."""
+    plant = default_plant()
+    plant_node = {key: np.asarray(getattr(plant, key)).tolist() for key in (
+        "a", "b", "c", "noise_std", "controlled", "setpoints",
+        "setpoint_ranges", "kp", "ki", "t_s")}
+    band = {"s_f": 1.0, "t_s": 180.0, "amplitude": 0.1, "burst_len": 10,
+            "burst_interval": 20}
+    model = {"encoder": [3], "decoder": [10], "epochs": 1, "batch_size": 16,
+             "learning_rate": 0.05, "lam1": 1.0, "lam2": 1.0, "lam3": 1e-4}
+    surrogate = {"classes": [0, 1, 3], "incipient": [3], "n_series": 1,
+                 "n_series_level2": 1, "horizon": 30, "window": 10,
+                 "onset": 10}
+    train = [["train", "--mode", mode] for mode in ("flat", "level2")]
+    return [
+        (["simulate"], {
+            "seed": 1, "horizon": 40, "plant": plant_node,
+            "fault": {"kind": "step", "target": 0, "magnitude": 1.0,
+                      "onset": 10, "slope": 0.1, "deadband": 0.0, "std": 0.0,
+                      "site": "sensor", "fault_class": 1},
+            "prbs": {"tau_ol": 1800.0, "tau_cl": 1030.0, "target": "loop1",
+                     **band}}),
+        (["simulate"], {
+            "seed": 2, "horizon": 40, "fault": {"class": 11, "onset": 10},
+            "prbs": "default"}),
+        (["simulate"], {
+            "seed": 3, "horizon": 40,
+            "fault": {"kind": "random_variation", "target": 1, "std": 0.5,
+                      "magnitude": 1.0, "onset": 5, "site": "actuator"}}),
+        (["prbs", "design"], {
+            "seed": 0, "plant": {"t_s": 180.0},
+            "prbs": {"omega_low": 5e-4, "omega_high": 4e-3,
+                     "omega_nyquist": 0.0174, "target": 1, **band}}),
+        (["ingest"], {
+            "seed": 1, "data": str(root / "records.txt"),
+            "labels": str(root / "labels.txt"), "window": 5,
+            "expected_cols": 10, "contiguous": True,
+            "split": {"train": 0.6, "val": 0.2, "test": 0.2}}),
+        *[(argv, {"seed": 1, "surrogate": surrogate, "model": model,
+                  "prbs": "default"}) for argv in train],
+        *[(argv, {"seed": 1, "archive": str(root / "archive"),
+                  "n_classes": 3, "incipient": [2],
+                  "model": {**model, "epochs": 0}}) for argv in train],
+    ]
+
+
+def _capped(blob):
+    """A mutated config with a model epoch count above one set to one."""
+    try:
+        cfg = json.loads(blob)
+        epochs = cfg["model"]["epochs"]
+    except (ValueError, TypeError, KeyError):
+        return blob
+    if type(epochs) is int and epochs > 1:
+        cfg["model"]["epochs"] = 1
+        return json.dumps(cfg).encode()
+    return blob
+
+
+def test_mutated_configs_exit_cleanly(root, configs):
+    rng = np.random.default_rng(20261021)
+    out = str(root / "config_out")
+    path = root / "mutated.json"
+    problems = []
+    codes = {0: 0, 1: 0, 2: 0}
+    for case in range(N_CONFIG_CASES):
+        argv, cfg = configs[rng.integers(len(configs))]
+        blob = _mutate_json(json.dumps(cfg).encode(), rng,
+                            (OTHER_KINDS, TINY, HUGE))
+        path.write_bytes(_capped(blob))
+        what = f"case {case}: {' '.join(argv)} on {path.read_text()}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = _run([*argv, "--config", str(path), "--out", out])
+        except Exception as exc:   # reported below, with the case
+            problems.append(f"{what}: {type(exc).__name__}: {exc}")
+            continue
+        lines = err.splitlines()
+        if code not in codes:
+            problems.append(f"{what}: exit {code}")
+        elif code and (len(lines) != 1
+                       or not lines[0].startswith("fddkit: ")):
+            problems.append(f"{what}: stderr {err!r}")
+        else:
+            codes[code] += 1
+    assert not problems, "\n".join(problems)
+    # the sweep reaches both the clean failures and intact runs
     assert codes[0] and codes[1]
