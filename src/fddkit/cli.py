@@ -5,13 +5,13 @@ seed. Exit codes: 0 on success, 1 for any input problem (bad config,
 unreadable data, infeasible design), 2 when a computation diverges
 numerically.
 
-train, tune and evaluate read one data source, which decides the keys
-that apply: an "archive" (an ingest output directory) with "n_classes"
-and "incipient" (default plant.INCIPIENT_CLASSES), or else surrogate
-data from the "surrogate" recipe (classes, incipient, n_series,
-n_series_level2, horizon, window, onset), which alone gives the
-classes, probed at level 2 with a "prbs" plan. The network and its
-training come from "model" for either.
+Each command accepts only the config keys it reads (_ROOTS). train,
+tune and evaluate read one data source, which decides the keys that
+apply: an "archive" (an ingest output directory) with "n_classes" and
+"incipient" (default plant.INCIPIENT_CLASSES), or else surrogate data
+from the "surrogate" recipe (classes, incipient, n_series,
+n_series_level2, horizon, window, onset), which alone gives the classes,
+probed at level 2 with a "prbs" plan; "model" gives the network.
 """
 
 import argparse
@@ -40,17 +40,25 @@ from .plant import (INCIPIENT_CLASSES, FaultSpec, _target_loop,
 from .prbs import (DEFAULT_TARGET, BandSpec, design_band, load_plan,
                    plan_from_band, save_plan)
 
-# Field tables: the kind of each key of each config node. A command reads
-# "model" as a node (train, tune) or a path (evaluate), and "prbs" as
-# "default", a plan path or a node.
-CONFIG = {
-    "seed": INTEGER, "horizon": INTEGER, "plant": OBJECT, "fault": OBJECT,
-    "prbs": STRING_OR_OBJECT, "data": PATH, "labels": PATH,
-    "window": INTEGER, "expected_cols": INTEGER, "split": OBJECT,
-    "contiguous": BOOL, "scaler": PATH, "archive": PATH,
-    "n_classes": INTEGER, "incipient": INTEGERS, "surrogate": OBJECT,
-    "model": OBJECT, "budget": INTEGER,
-    "search_space": OBJECT, "level1": PATH, "level2": PATH, "report": PATH,
+# Field tables: the kind of each key of each config node, the root's per
+# command, built from shared parts that write each kind once. "prbs" is
+# "default", a plan path or a node; "model" a node or (evaluate) a path.
+_SEED = {"seed": INTEGER}
+_PROBE = {**_SEED, "prbs": STRING_OR_OBJECT}
+_DESIGN = {**_PROBE, "plant": OBJECT}
+_SOURCE = {**_PROBE, "archive": PATH, "n_classes": INTEGER,
+           "incipient": INTEGERS, "surrogate": OBJECT}
+_TRAIN = {**_SOURCE, "model": OBJECT}
+_ROOTS = {
+    "simulate": {**_DESIGN, "horizon": INTEGER, "fault": OBJECT},
+    "ingest": {**_SEED, "data": PATH, "labels": PATH, "window": INTEGER,
+               "expected_cols": INTEGER, "split": OBJECT,
+               "contiguous": BOOL, "scaler": PATH},
+    "train": _TRAIN,
+    "tune": {**_TRAIN, "budget": INTEGER, "search_space": OBJECT},
+    "evaluate": {**_SOURCE, "model": PATH, "level1": PATH, "level2": PATH},
+    "prbs design": _DESIGN,
+    "report": {**_SEED, "report": PATH},
 }
 PLANT = {
     "a": MATRIX, "b": MATRIX, "c": MATRIX, "noise_std": NUMBERS,
@@ -80,17 +88,19 @@ SEARCH_SPACE = {
     for key, kind in MODEL_FIELDS.items()}
 
 
-def _load_config(path, required=(), **kinds):
-    """The config's root, read by CONFIG with kinds in place of its own;
-    the seed and the required keys must be present."""
+def _load_config(path, command, required=()):
+    """The config's root, read by the command's table; the seed and the
+    required keys must be present."""
     try:
         cfg = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = read_fields(cfg, {**CONFIG, **kinds}, "config", ConfigError,
+    cfg = read_fields(cfg, _ROOTS[command], "config", ConfigError,
                       required=("seed", *required))
     if cfg["seed"] < 0:   # numpy's generators take no negative seed
         raise ConfigError(f"config key 'seed' must be >= 0, not {cfg['seed']}")
+    if "archive" not in _ROOTS[command]:   # a command that reads no data
+        return cfg
     # the data source decides the keys: an archive brings its data and
     # its alphabet, n_classes and incipient; the surrogate recipe gives
     # both, probed with the prbs plan
@@ -174,7 +184,7 @@ def _out_dir(args):
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "simulate")
     seed = cfg["seed"]
     plant = _plant_from(cfg, seed)
     fault = _fault_from(cfg)
@@ -199,7 +209,7 @@ def cmd_simulate(args):
 
 
 def cmd_ingest(args):
-    cfg = _load_config(args.config, ("data", "labels", "window"))
+    cfg = _load_config(args.config, "ingest", ("data", "labels", "window"))
     data = load_matrix(cfg["data"], expected_cols=cfg.get("expected_cols"))
     labels = load_labels(cfg["labels"])
     window = cfg["window"]
@@ -314,7 +324,7 @@ def _level2_plan(cfg, mode):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "train")
     seed, mode = cfg["seed"], args.mode
     train_b, lmap = _data(cfg, seed, "train", mode, _level2_plan(cfg, mode))
     # an archive's val split, where it has one, picks the best epoch;
@@ -336,7 +346,7 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "tune")
     seed, mode = cfg["seed"], args.mode
     plan = _level2_plan(cfg, mode)
     train_b, lmap = _data(cfg, seed, "train", mode, plan)
@@ -353,8 +363,8 @@ def cmd_tune(args):
 
 
 def cmd_evaluate(args):
-    cfg = _load_config(args.config, ("level1", "level2") if args.hierarchical
-                       else ("model",), model=PATH)
+    cfg = _load_config(args.config, "evaluate", ("level1", "level2")
+                       if args.hierarchical else ("model",))
     seed = cfg["seed"]
     plan = None
     if args.prbs == "on":
@@ -396,7 +406,7 @@ def cmd_evaluate(args):
 
 
 def cmd_prbs_design(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "prbs design")
     plant = _plant_from(cfg, cfg["seed"])
     plan = _plan_from(cfg, plant) or default_excitation(plant)
     out = _out_dir(args)
@@ -408,7 +418,7 @@ def cmd_prbs_design(args):
 
 
 def cmd_report(args):
-    cfg = _load_config(args.config, ("report",))
+    cfg = _load_config(args.config, "report", ("report",))
     report = load_report(cfg["report"])
     print(format_report(report), end="")
     return 0

@@ -12,7 +12,7 @@ where the regularizer covers input/recurrent kernels and the classifier
 matrix but no biases.
 """
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 import math
 
 import numpy as np
@@ -35,8 +35,12 @@ F32_WEIGHT_LIMIT = float(np.sqrt(np.finfo(np.float32).max))
 # Learning-rate grid searched by default; the other fields stay at the
 # base config unless a search space overrides them.
 DEFAULT_SEARCH_SPACE = {"learning_rate": [1e-1, 2e-1, 3e-1, 1e-2]}
-# Configs that `fddkit tune` samples when its config names no budget.
+# Configs that `fddkit tune` samples when its config names no budget,
+# and the most it samples.
 DEFAULT_BUDGET = 4
+MAX_BUDGET = 1000
+# Most epochs a ModelConfig trains for.
+MAX_EPOCHS = 10000
 
 # Epochs of the first successive-halving stage; each later stage doubles it.
 STAGE_EPOCHS = 2
@@ -90,6 +94,9 @@ class ModelConfig:
                 f"got {self.decoder[-1]}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.epochs > MAX_EPOCHS:
+            raise ConfigError(f"config key 'epochs' must be at most "
+                              f"{MAX_EPOCHS}, not {self.epochs}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, not "
                               f"{self.learning_rate}")
@@ -239,14 +246,14 @@ def batch_accuracy(model, batch):
 @dataclass
 class TrainedModel:
     """Frozen training outcome. train fits scaler on the training
-    windows, and predict applies it, so callers pass raw windows; None
-    (a model built by hand or saved without scaler.json) uses them as
-    given."""
+    windows, and predict applies it, so callers pass raw windows; a
+    model built by hand that reads its windows as given carries
+    Scaler(zeros, ones)."""
 
     config: ModelConfig
     params: ParamSet
-    history: list = field(default_factory=list)
-    scaler: Scaler = None
+    history: list
+    scaler: Scaler
 
     def predict(self, batch):
         """Class indices for raw windows, an array or a WindowBatch,
@@ -262,8 +269,7 @@ class TrainedModel:
                        len(windows) // 2)
         preds = []
         for chunk in np.array_split(windows, max(n_chunks, 1)):
-            if self.scaler is not None:
-                chunk = self.scaler.apply(chunk)
+            chunk = self.scaler.apply(chunk)
             preds.append(predict(self.params, chunk))
         return np.concatenate(preds)
 
@@ -337,7 +343,7 @@ def train(train_batch, val_batch, config):
                                           lr=config.learning_rate)
             _check_weights(params, epoch)
             loss_sum += loss * idx.size
-        val_acc = (batch_accuracy(TrainedModel(config, params, scaler=scaler),
+        val_acc = (batch_accuracy(TrainedModel(config, params, [], scaler),
                                   val_batch) if use_val else math.nan)
         history.append({"epoch": epoch, "loss": loss_sum / n,
                         "val_accuracy": val_acc})
@@ -359,8 +365,9 @@ def tune(train_batch, val_batch, search_space, budget, base):
     """
     if not search_space:
         raise ConfigError("search space is empty")
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"config key 'budget' must be between 1 and "
+                          f"{MAX_BUDGET}, not {budget}")
     if val_batch is None or len(val_batch) == 0:
         raise ConfigError("tuning needs a nonempty validation batch")
 
@@ -389,7 +396,7 @@ def tune(train_batch, val_batch, search_space, budget, base):
 
 
 def save_model(model, directory):
-    """Write params.bin, config.json, history.tsv (and scaler.json)."""
+    """Write params.bin, config.json, history.tsv and scaler.json."""
     directory.mkdir(parents=True, exist_ok=True)
     save_params(model.params, directory / "params.bin")
     cfg = asdict(model.config)
@@ -401,8 +408,7 @@ def save_model(model, directory):
         for row in model.history:
             fh.write(f"{row['epoch']}\t{row['loss']:.17g}\t"
                      f"{row['val_accuracy']:.17g}\n")
-    if model.scaler is not None:
-        model.scaler.save(directory / "scaler.json")
+    model.scaler.save(directory / "scaler.json")
 
 
 def load_model(directory):
@@ -430,7 +436,5 @@ def load_model(directory):
                             "val_accuracy": float(acc)})
     except ValueError as exc:
         raise FormatError(f"{path}: not a training history ({exc})") from None
-    scaler = None
-    if (directory / "scaler.json").exists():
-        scaler = Scaler.load(directory / "scaler.json")
-    return TrainedModel(config, params, history, scaler)
+    return TrainedModel(config, params, history,
+                        Scaler.load(directory / "scaler.json"))

@@ -280,8 +280,8 @@ def test_corrupt_params_exit_one(tmp_path, capsys):
     config = ModelConfig(encoder=(5,), decoder=(10,), n_features=10,
                          n_classes=3, horizon=10)
     model_dir = tmp_path / "model"
-    save_model(TrainedModel(config, build_params(config), [], None),
-               model_dir)
+    save_model(TrainedModel(config, build_params(config), [],
+                            Scaler(np.zeros(10), np.ones(10))), model_dir)
     blob = (model_dir / "params.bin").read_bytes()
     eval_cfg = write_config(tmp_path / "eval.json",
                             {"seed": 2, "surrogate": TINY_SURROGATE,
@@ -429,6 +429,20 @@ def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
                        "level2": str(model_dir)})
     for mode in ([], ["--hierarchical"]):
         assert "scaler" in _assert_one_line_exit_one(
+            ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
+            + mode, capsys)
+
+
+def test_model_without_scaler_exits_one(tmp_path, capsys):
+    # such a model was evaluated on raw windows and exited 0
+    model_dir = _saved_model(tmp_path / "model")
+    (model_dir / "scaler.json").unlink()
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir), "level1": str(model_dir),
+                       "level2": str(model_dir)})
+    for mode in ([], ["--hierarchical"]):
+        assert "scaler.json" in _assert_one_line_exit_one(
             ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
             + mode, capsys)
 
@@ -816,19 +830,29 @@ def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
 
 
 def _argv(command, tmp_path):
+    """argv of one run of command, named by its first word or in full."""
     out = ["--out", str(tmp_path / "out")]
     return {"simulate": ["simulate"] + out, "ingest": ["ingest"] + out,
             "train": ["train", "--mode", "flat"] + out, "tune": ["tune"] + out,
-            "prbs": ["prbs", "design"] + out}[command]
+            "evaluate": ["evaluate"] + out, "prbs": ["prbs", "design"] + out,
+            "report": ["report"]}[command.split()[0]]
+
+
+def _root_config(tmp_path, command):
+    """A config root that command reads with its required keys set."""
+    return {"simulate": {"seed": 1, "horizon": 60},
+            "ingest": _ingest_config(tmp_path),
+            "evaluate": {"seed": 1, "model": "m"},
+            "report": {"seed": 0, "report": "r"}}.get(command, {"seed": 1})
 
 
 def _node_case(tmp_path, table, node):
-    """(command, config) that has the node named by table read with the
-    given entries."""
+    """(command, config) that has the node named by table, a command's
+    root or a node's table, read with the given entries."""
     surr = {"seed": 1, "surrogate": TINY_SURROGATE}
     sim = {"seed": 1, "horizon": 60}
-    if table == "CONFIG":
-        return "simulate", {**sim, **node}
+    if table in fddkit.cli._ROOTS:
+        return table, {**_root_config(tmp_path, table), **node}
     if table == "PLANT":
         return "simulate", {**sim, "plant": node}
     if table == "FAULT":
@@ -867,13 +891,15 @@ _WRONG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("table", ["CONFIG", "PLANT", "FAULT",
+@pytest.mark.parametrize("table", [*fddkit.cli._ROOTS, "PLANT", "FAULT",
                                    "LIBRARY_FAULT", "PRBS", "SPLIT",
                                    "SURROGATE", "MODEL_FIELDS",
                                    "SEARCH_SPACE"])
 def test_every_key_of_every_table_rejects_wrong_kinds(tmp_path, capsys,
                                                       table):
-    for key, kind in getattr(fddkit.cli, table).items():
+    fields = (fddkit.cli._ROOTS[table] if table in fddkit.cli._ROOTS
+              else getattr(fddkit.cli, table))
+    for key, kind in fields.items():
         # a search_space entry lists candidates of the model key's kind
         wrongs = ([[], "x", ["x"], [True]] if table == "SEARCH_SPACE"
                   else _WRONG_VALUES[kind])
@@ -884,6 +910,20 @@ def test_every_key_of_every_table_rejects_wrong_kinds(tmp_path, capsys,
                 + ["--config", write_config(tmp_path / "c.json", cfg)],
                 capsys)
             assert f"config key {key!r}" in err, (table, key, value, err)
+
+
+@pytest.mark.parametrize("command", fddkit.cli._ROOTS)
+def test_key_another_command_reads_exits_one(tmp_path, capsys, command):
+    # each of these was accepted and read by nothing, or refused with a
+    # message about the data source
+    known = fddkit.cli._ROOTS[command]
+    others = {key for table in fddkit.cli._ROOTS.values() for key in table}
+    for key in sorted(others - set(known)):
+        cfg = {**_root_config(tmp_path, command), key: 1}
+        err = _assert_one_line_exit_one(
+            _argv(command, tmp_path)
+            + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
+        assert err == f"fddkit: unknown config keys: [{key!r}]\n"
 
 
 def _wrong_like(value):
@@ -973,9 +1013,16 @@ _TRACEBACKS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_MISREADS, *_TRACEBACKS])
+_UNBOUNDED = {
+    # each of these ran until the process was killed
+    "model_epochs_huge": ("train", {"model": {"epochs": 10 ** 5}}, "epochs"),
+    "budget_huge": ("tune", {"budget": 10 ** 5}, "budget"),
+}
+
+
+@pytest.mark.parametrize("case", [*_MISREADS, *_TRACEBACKS, *_UNBOUNDED])
 def test_wrong_typed_value_exits_one_naming_the_key(tmp_path, capsys, case):
-    command, entries, key = {**_MISREADS, **_TRACEBACKS}[case]
+    command, entries, key = {**_MISREADS, **_TRACEBACKS, **_UNBOUNDED}[case]
     base = ({"seed": 1, "horizon": 60} if command == "simulate"
             else {"seed": 0} if command == "prbs"
             else _ingest_config(tmp_path) if command == "ingest"
@@ -1481,7 +1528,8 @@ def _write_record(name, tmp_path):
     elif name == "model/config.json":
         cfg = ModelConfig(encoder=(3,), decoder=(2,), n_features=2,
                           n_classes=3, horizon=4, seed=0)
-        save_model(TrainedModel(cfg, build_params(cfg), [], None),
+        save_model(TrainedModel(cfg, build_params(cfg), [],
+                                Scaler(np.zeros(2), np.ones(2))),
                    tmp_path / "model")
     elif name == "report/summary.json":
         cm = confusion([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0], 3)

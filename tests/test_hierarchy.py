@@ -79,7 +79,8 @@ def test_label_map_rejects_incipient_outside_the_fault_classes(incipient):
 
 
 def _constant_model(n_features, n_classes, horizon, favored, scaler=None):
-    """A model whose softmax head always argmaxes to `favored`."""
+    """A model whose softmax head always argmaxes to `favored`; without
+    a scaler it reads its windows as given."""
     cfg = ModelConfig(encoder=(3,), decoder=(n_features,),
                       n_features=n_features, n_classes=n_classes,
                       horizon=horizon, seed=0)
@@ -87,6 +88,8 @@ def _constant_model(n_features, n_classes, horizon, favored, scaler=None):
     params.W_c[...] = 0.0
     params.b_c[...] = 0.0
     params.b_c[favored] = 5.0
+    if scaler is None:
+        scaler = Scaler(np.zeros(n_features), np.ones(n_features))
     return TrainedModel(config=cfg, params=params, history=[],
                         scaler=scaler)
 

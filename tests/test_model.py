@@ -11,8 +11,8 @@ from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import (ConfigError, DimensionError,
                            NumericDivergenceError)
 import fddkit.model
-from fddkit.model import (DEFAULT_SEARCH_SPACE, ModelConfig, TrainedModel,
-                          build_params, load_model,
+from fddkit.model import (DEFAULT_SEARCH_SPACE, MAX_BUDGET, MAX_EPOCHS,
+                          ModelConfig, TrainedModel, build_params, load_model,
                           loss_and_grads, model_forward, predict,
                           predict_proba, sae_loss, save_model, train, tune)
 from fddkit.recurrent import finite_diff_grad, max_rel_error
@@ -377,6 +377,18 @@ def test_tune_budget_one_returns_sampled_config():
                base=tiny_config(epochs=7))
     assert cfg.learning_rate == 0.25
     assert cfg.epochs == 7
+
+
+def test_epochs_and_budget_are_bounded():
+    # a huge count trained, or sampled trials, until the process was killed
+    assert tiny_config(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+    with pytest.raises(ConfigError, match="'epochs'"):
+        tiny_config(epochs=MAX_EPOCHS + 1)
+    batch = toy_batch()
+    for budget in (0, MAX_BUDGET + 1):
+        with pytest.raises(ConfigError, match="'budget'"):
+            tune(batch, batch, {"learning_rate": [0.25]}, budget,
+                 tiny_config())
 
 
 def logged_trials(monkeypatch, base):

@@ -8,11 +8,12 @@ that read the files and finish fast (evaluate, report, ingest, simulate,
 prbs design); train and tune are never run on a damaged file.
 
 Each case of the config sweep changes one value of a valid config for
-simulate, prbs design, ingest or train (a value of the wrong kind, a
-deleted key, a huge or a tiny number) at any depth: the plant, fault,
-prbs, surrogate, model and split nodes and the top level. Training runs
-on a few short scenario runs, and an epoch count the mutation raises
-above one is put back to one, so that no case trains for long.
+simulate, prbs design, ingest, train or evaluate (a value of the wrong
+kind, a deleted key, a huge or a tiny number) at any depth: the plant,
+fault, prbs, surrogate, model and split nodes and the top level.
+Training runs on a few short scenario runs or the tiny archive; the
+largest epoch count the pools hold within model.MAX_EPOCHS is 7, so no
+case trains for long.
 
 Every run must exit 0, 1 or 2, print exactly one ``fddkit:`` line to
 stderr when it exits nonzero, and warn nothing: warnings are errors here.
@@ -249,7 +250,7 @@ def test_damaged_files_exit_cleanly(artifacts):
 @pytest.fixture(scope="module")
 def configs(root):
     """(argv, config) pairs, each a valid run of simulate, prbs design,
-    ingest or train that finishes in well under a second."""
+    ingest, train or evaluate that finishes in well under a second."""
     plant = default_plant()
     plant_node = {key: np.asarray(getattr(plant, key)).tolist() for key in (
         "a", "b", "c", "noise_std", "controlled", "setpoints",
@@ -262,6 +263,7 @@ def configs(root):
                  "n_series_level2": 1, "horizon": 30, "window": 10,
                  "onset": 10}
     train = [["train", "--mode", mode] for mode in ("flat", "level2")]
+    evaluate = json.loads((root / "evaluate.json").read_text())
     return [
         (["simulate"], {
             "seed": 1, "horizon": 40, "plant": plant_node,
@@ -291,20 +293,9 @@ def configs(root):
         *[(argv, {"seed": 1, "archive": str(root / "archive"),
                   "n_classes": 3, "incipient": [2],
                   "model": {**model, "epochs": 0}}) for argv in train],
+        (["evaluate"], evaluate),
+        (["evaluate", "--hierarchical"], evaluate),
     ]
-
-
-def _capped(blob):
-    """A mutated config with a model epoch count above one set to one."""
-    try:
-        cfg = json.loads(blob)
-        epochs = cfg["model"]["epochs"]
-    except (ValueError, TypeError, KeyError):
-        return blob
-    if type(epochs) is int and epochs > 1:
-        cfg["model"]["epochs"] = 1
-        return json.dumps(cfg).encode()
-    return blob
 
 
 def test_mutated_configs_exit_cleanly(root, configs):
@@ -317,7 +308,7 @@ def test_mutated_configs_exit_cleanly(root, configs):
         argv, cfg = configs[rng.integers(len(configs))]
         blob = _mutate_json(json.dumps(cfg).encode(), rng,
                             (OTHER_KINDS, TINY, HUGE))
-        path.write_bytes(_capped(blob))
+        path.write_bytes(blob)
         what = f"case {case}: {' '.join(argv)} on {path.read_text()}"
         try:
             with warnings.catch_warnings():
