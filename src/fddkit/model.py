@@ -29,7 +29,8 @@ from .recurrent import (ParamSet, adam_step, clip_global_norm, init_adam,
 LOG_CLAMP = 1e-12
 GRAD_CLIP = 5.0
 # Master weights at this size (the square root of the largest float32,
-# about 1.8e19) or beyond count as divergence; see _check_weights.
+# about 1.8e19) or beyond count as divergence in train and as a corrupt
+# params.bin in load_model; see _check_weights.
 F32_WEIGHT_LIMIT = float(np.sqrt(np.finfo(np.float32).max))
 
 # Learning-rate grid searched by default; the other fields stay at the
@@ -237,7 +238,8 @@ def predict(params, batch):
 
 
 def batch_accuracy(model, batch):
-    """Accuracy of a TrainedModel on a WindowBatch of raw windows."""
+    """Accuracy of a TrainedModel on a WindowBatch of raw windows, scored
+    by TrainedModel.predict."""
     if len(batch) == 0:
         return math.nan
     return float(np.mean(model.predict(batch) == batch.labels))
@@ -248,7 +250,8 @@ class TrainedModel:
     """Frozen training outcome. train fits scaler on the training
     windows, and predict applies it, so callers pass raw windows; a
     model built by hand that reads its windows as given carries
-    Scaler(zeros, ones)."""
+    Scaler(zeros, ones). params are the float64 master weights; predict
+    runs on a float32 copy of them, as a training step does."""
 
     config: ModelConfig
     params: ParamSet
@@ -259,7 +262,13 @@ class TrainedModel:
         """Class indices for raw windows, an array or a WindowBatch,
         standardized and predicted in equal chunks of at most
         PREDICT_CHUNK_VALUES input values each; DimensionError for
-        windows of another length than the model was trained on."""
+        windows of another length than the model was trained on.
+
+        Each chunk is standardized in float64 and cast to float32, and
+        the encoder and head run in float32 on a float32 copy of params:
+        bit for bit the forward pass of a training step on the same
+        weights and windows. FormatError if a standardized window holds
+        a value float32 cannot."""
         windows, _ = _as_windows(batch)
         if windows.shape[1] != self.config.horizon:
             raise DimensionError(
@@ -267,19 +276,40 @@ class TrainedModel:
                 f"trained on {self.config.horizon}")
         n_chunks = min(-(-windows.size // PREDICT_CHUNK_VALUES),
                        len(windows) // 2)
+        params = self.params.astype(np.float32)
         preds = []
         for chunk in np.array_split(windows, max(n_chunks, 1)):
-            chunk = self.scaler.apply(chunk)
-            preds.append(predict(self.params, chunk))
+            # the float32 copy is allocated before the scaled float64
+            # chunk it is cast from, so freeing that leaves the heap no
+            # hole below it (a hole raised archive_track's peak RSS)
+            scaled = np.empty(chunk.shape, np.float32)
+            try:
+                with np.errstate(over="raise"):
+                    np.copyto(scaled, self.scaler.apply(chunk),
+                              casting="same_kind")
+            except FloatingPointError:
+                raise FormatError("standardized windows overflow float32: "
+                                  "the scaler does not fit this data") from None
+            # as in a training step, an overflow inside the pass warns
+            # nothing: an infinite preactivation saturates its gate, and
+            # a NaN reaches softmax, which rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                preds.append(predict(params, scaled))
         return np.concatenate(preds)
+
+
+def _fits_float32(params):
+    """Whether every weight is finite and of magnitude below
+    F32_WEIGHT_LIMIT, so that the float32 passes can take it."""
+    return all(np.all(np.abs(a) < F32_WEIGHT_LIMIT)
+               for a in params.flat_arrays())
 
 
 def _check_weights(params, epoch):
     """NumericDivergenceError if an Adam update left a master weight
     non-finite or with a square that overflows float32, which would make
     the next step's float32 loss non-finite."""
-    if not all(np.all(np.abs(a) < F32_WEIGHT_LIMIT)
-               for a in params.flat_arrays()):
+    if not _fits_float32(params):
         raise NumericDivergenceError(
             f"weights outgrew float32 in epoch {epoch}")
 
@@ -297,12 +327,13 @@ def train(train_batch, val_batch, config):
     Mixed precision: each minibatch's loss and gradients are computed in
     float32, on float32 copies of the parameters and of the gathered
     windows, and the gradients are cast back to float64. The parameters
-    (the master weights), the Adam moments, clipping, validation and the
-    returned parameters stay float64, so zero epochs return the exact
-    initialization and validation scores the same float64 inference as
-    predict. Master weights of F32_WEIGHT_LIMIT (about 1.8e19) or more,
-    or a non-finite loss, raise NumericDivergenceError naming the epoch,
-    and a non-finite gradient norm raises it too.
+    (the master weights), the Adam moments, clipping and the returned
+    parameters stay float64, so zero epochs return the exact
+    initialization. Validation scores with TrainedModel.predict, the
+    float32 inference every caller runs. Master weights of
+    F32_WEIGHT_LIMIT (about 1.8e19) or more, or a non-finite loss, raise
+    NumericDivergenceError naming the epoch, and a non-finite gradient
+    norm raises it too.
     """
     if len(train_batch) == 0:
         raise ConfigError("training batch is empty")
@@ -420,7 +451,12 @@ def load_model(directory):
         read_json(path), fields, path, FormatError,
         required=("encoder", "decoder", "n_features", "n_classes",
                   "horizon")))
-    params = load_params(directory / "params.bin")
+    path = directory / "params.bin"
+    params = load_params(path)
+    # train never saves such a weight (see _check_weights)
+    if not _fits_float32(params):
+        raise FormatError(f"{path} holds a weight of magnitude "
+                          f"{F32_WEIGHT_LIMIT:.3g} or more; file is corrupt")
     if ([(layer.d_x, layer.d_h) for layer in params.layers]
             != config.layer_dims()
             or params.n_encoder != len(config.encoder)

@@ -20,8 +20,8 @@ from fddkit.dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                            save_matrix)
 from fddkit.hierarchy import LabelMap
 from fddkit.metrics import build_report, confusion, save_report
-from fddkit.model import (ModelConfig, TrainedModel, build_params, load_model,
-                          save_model)
+from fddkit.model import (F32_WEIGHT_LIMIT, ModelConfig, TrainedModel,
+                          build_params, load_model, save_model)
 from fddkit.pipeline import (default_excitation, evaluate_classifier,
                              fit_hierarchical, hierarchical_report,
                              scenario_batch)
@@ -447,18 +447,62 @@ def test_model_without_scaler_exits_one(tmp_path, capsys):
             + mode, capsys)
 
 
+def _evaluate_argv(tmp_path, model_dir, *mode):
+    ev = write_config(tmp_path / "eval.json",
+                      {"seed": 2, "surrogate": TINY_SURROGATE,
+                       "model": str(model_dir), "level1": str(model_dir),
+                       "level2": str(model_dir)})
+    return ["evaluate", "--config", ev, "--out", str(tmp_path / "rep"),
+            *mode]
+
+
 @pytest.mark.filterwarnings("error")
 def test_model_scaler_that_overflows_the_windows_exits_one(tmp_path,
                                                            capsys):
     model_dir = _saved_model(tmp_path / "model")
     scaler = json.loads((model_dir / "scaler.json").read_text())
-    scaler["mean"][0], scaler["std"][0] = 1e308, 1e-300
-    (model_dir / "scaler.json").write_text(json.dumps(scaler))
-    ev = write_config(tmp_path / "eval.json",
-                      {"seed": 2, "surrogate": TINY_SURROGATE,
-                       "model": str(model_dir)})
-    assert "scaler" in _assert_one_line_exit_one(
-        ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")], capsys)
+    # the first standardization overflows float64; float64 holds the
+    # second, but the float32 pass cannot
+    for mean, dtype in ((1e308, "float64"), (scaler["mean"][0], "float32")):
+        scaler["mean"][0], scaler["std"][0] = mean, 1e-300
+        (model_dir / "scaler.json").write_text(json.dumps(scaler))
+        err = _assert_one_line_exit_one(_evaluate_argv(tmp_path, model_dir),
+                                        capsys)
+        assert dtype in err and "scaler" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_params_weight_float32_cannot_take_exits_one(tmp_path, capsys):
+    # train never saves a weight of F32_WEIGHT_LIMIT or more (it reports
+    # divergence first), so load_model rejects one as a corrupt file
+    model_dir = _saved_model(tmp_path / "model")
+    path = model_dir / "params.bin"
+    blob = path.read_bytes()
+    for weight in (F32_WEIGHT_LIMIT, -1e300):
+        path.write_bytes(blob[:-8] + np.array([weight], "<f8").tobytes())
+        for mode in ([], ["--hierarchical"]):
+            err = _assert_one_line_exit_one(
+                _evaluate_argv(tmp_path, model_dir, *mode), capsys)
+            assert "params.bin" in err and "corrupt" in err
+    # the largest weight below the limit loads and predicts
+    path.write_bytes(blob[:-8] + np.array(
+        [np.nextafter(F32_WEIGHT_LIMIT, 0)], "<f8").tobytes())
+    assert main(_evaluate_argv(tmp_path, model_dir)) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_float32_pass_that_overflows_warns_nothing(tmp_path, capsys):
+    # channel 0 standardizes to about 1e37 and its input weights are 100,
+    # so the float32 input projection overflows to infinity; the gates
+    # saturate as they would in float64, silently, as in a training step
+    model_dir = _saved_model(tmp_path / "model")
+    model = load_model(model_dir)
+    model.params.layers[0].W[:, 0] = 100.0
+    model.scaler.std[0] = 1e-37
+    save_model(model, model_dir)
+    capsys.readouterr()
+    assert main(_evaluate_argv(tmp_path, model_dir)) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error")

@@ -80,11 +80,15 @@ def test_a_model_takes_windows_of_its_training_length_only():
     ((4,), 5), ((4, 2), 5), ((4,), 1), ((4, 2), 1)])
 def test_predict_proba_equals_full_forward_exactly(encoder, horizon):
     cfg = tiny_config(encoder=encoder, horizon=horizon)
-    params = build_params(cfg)
     rng = np.random.default_rng(10 * len(encoder) + horizon)
     x = rng.normal(size=(9, horizon, 3))
-    _, probs, _ = model_forward(x, params, cfg)
-    np.testing.assert_array_equal(predict_proba(params, x), probs)
+    # float64 parameters, and the float32 copy TrainedModel.predict runs
+    for dtype in (np.float64, np.float32):
+        params = build_params(cfg).astype(dtype)
+        _, probs, _ = model_forward(x.astype(dtype), params, cfg)
+        assert probs.dtype == dtype
+        np.testing.assert_array_equal(
+            predict_proba(params, x.astype(dtype)), probs)
 
 
 def test_predict_skips_the_cached_forward_pass(monkeypatch):
@@ -550,7 +554,9 @@ def test_trained_model_predict_applies_its_own_scaler(as_batch):
     scaler = Scaler(mean=[0.5, -1.0, 0.0], std=[2.0, 0.5, 0.1])
     model = TrainedModel(cfg, build_params(cfg), [], scaler)
     raw = toy_batch(n_per_class=16, seed=4)
-    expect = predict(model.params, scaler.apply(raw.windows))
+    # float64 standardization, then the float32 pass of a training step
+    expect = predict(model.params.astype(np.float32),
+                     scaler.apply(raw.windows))
     got = model.predict(raw if as_batch else raw.windows)
     assert got.tobytes() == expect.tobytes()
     # the scaler moves some predictions, so it was applied exactly once
