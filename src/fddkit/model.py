@@ -121,9 +121,8 @@ def build_params(config):
 
 
 def _as_windows(batch):
-    if isinstance(batch, WindowBatch):
-        return batch.windows, batch.labels
-    return np.asarray(batch, dtype=np.float64), None
+    """The windows of a WindowBatch or an array, in their own dtype."""
+    return batch.windows if isinstance(batch, WindowBatch) else np.asarray(batch)
 
 
 def _forward_caches(windows, params):
@@ -150,7 +149,7 @@ def model_forward(batch, params, config=None):
     Returns (reconstructions N x H x d_x, class probabilities N x m,
     final-timestep latents N x d_z).
     """
-    windows, _ = _as_windows(batch)
+    windows = _as_windows(batch)
     if config is not None and windows.shape[2] != config.n_features:
         raise DimensionError(
             f"batch has {windows.shape[2]} features, config expects "
@@ -226,8 +225,11 @@ def loss_and_grads(windows, labels, params, config):
 
 def predict_proba(params, batch):
     """Class probabilities from the encoder and the head alone: the
-    decoder does not affect them, and no backward cache is kept."""
-    z_seq, _ = _as_windows(batch)
+    decoder does not affect them, and no backward cache is kept. The
+    pass runs in the dtype of params; the windows go to the first layer
+    as they are, which casts them to that dtype, so float32 windows meet
+    float32 params with no copy and no upcast."""
+    z_seq = _as_windows(batch)
     for layer in params.layers[:params.n_encoder]:
         z_seq = lstm_hidden_batch(z_seq, layer)
     return _class_probs(z_seq, params)
@@ -269,7 +271,7 @@ class TrainedModel:
         bit for bit the forward pass of a training step on the same
         weights and windows. FormatError if a standardized window holds
         a value float32 cannot."""
-        windows, _ = _as_windows(batch)
+        windows = _as_windows(batch)
         if windows.shape[1] != self.config.horizon:
             raise DimensionError(
                 f"windows have {windows.shape[1]} samples, the model was "

@@ -268,13 +268,15 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
 
     # The PI law runs on Python floats: the same IEEE double operations,
     # in the same order, as on numpy scalars, at a fraction of the cost.
-    # The two products keep their operands and shapes, since a change to
-    # either alters the rounding (tests/test_plant.py pins the bits). A
-    # diverging run overflows quietly here and is caught below.
+    # The products keep their operands and shapes, since a change to
+    # either alters the rounding (tests/test_plant.py pins the bits);
+    # np.dot issues the same gemv as @ for a matrix times a vector, with
+    # less dispatch per call. A diverging run overflows quietly here and
+    # is caught below.
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t, (noise_t, target_t) in enumerate(zip(noise, targets)):
-            y = (c @ x + noise_t).tolist()
+            y = (np.dot(c, x) + noise_t).tolist()
             if sensor:
                 y[fault.target] = apply_fault(y[fault.target], t, fault,
                                               fstate)
@@ -287,7 +289,7 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
             if actuator:
                 u_cmd[fault.target] = apply_fault(u_cmd[fault.target], t,
                                                   fault, fstate)
-            x = a @ x + b @ u_cmd
+            x = np.dot(a, x) + np.dot(b, u_cmd)
         records = np.array(rows, dtype=np.float64)
         diverged = np.max(np.abs(records), axis=1) > DIVERGENCE_LIMIT
     if diverged.any():

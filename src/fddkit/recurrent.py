@@ -23,10 +23,14 @@ every array the loop reads or writes per step is laid out time-major:
 
 The products keep their batch-major operands, so they round as a plain
 (N, T, d) layout would: the input projection ``x @ W.T`` is taken over
-(N, T, d_x) and copied into gate-major order with the bias added on the
-way, the recurrent term ``h @ R.T`` is added through a (4, N, d_h) view
-of its rows, and the backward pass writes the gate gradients into the
-(N, 4*d_h) array that its products read.
+(N, T, d_x), the recurrent term ``h @ R.T`` over (N, d_h), and the
+backward pass writes the gate gradients into the (N, 4*d_h) array that
+its products read. Both forward passes sum each step's preactivation
+as ``(xw + b) + rr``, so they give the same bits: the training pass
+copies the whole projection into its gate-major gate array with the
+bias added on the way and adds ``rr`` through a (4, N, d_h) view of its
+rows; the inference pass sums one step at a time in a packed (N, 4*d_h)
+buffer and copies the sum into gate-major order.
 
 Both forward passes run the same in-place step on a (4, N, d_h)
 preactivation: ``sigmoid`` over the forget and input blocks and over
@@ -35,9 +39,9 @@ its tanh and the hidden state written straight into their arrays.
 ``lstm_forward_batch`` is the training pass: its step works in the gate
 array and the sequences that ``lstm_backward`` reads back.
 ``lstm_hidden_batch`` is the inference pass: it returns only the hidden
-sequence, reusing one preactivation and one cell buffer across steps, so
-it allocates no full-length gate or cell arrays. Both give the same
-hidden states bit for bit.
+sequence, reusing one packed sum, one preactivation and one cell buffer
+across steps, so it allocates no full-length gate or cell arrays. Both
+give the same hidden states bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -297,8 +301,9 @@ def _time_major(a):
 
 
 def _gate_rows(a):
-    """(N, 4*d_h) packed gates as a (4, N, d_h) view, one block per gate."""
-    return a.reshape(a.shape[0], 4, -1).transpose(1, 0, 2)
+    """(N, 4*d_h) packed gates as a (4, N, d_h) view, one block per gate;
+    N may be 0."""
+    return a.reshape(a.shape[0], 4, a.shape[1] // 4).transpose(1, 0, 2)
 
 
 def _gate_step(a, c_prev, c, tanh_c, h):
@@ -348,9 +353,10 @@ def lstm_forward_batch(x, params):
     tanh_c = np.empty((t_len, n, d_h), dtype)
 
     # Hoist the input projection out of the time loop; only the recurrent
-    # term depends on the previous step. The product stays batch-major (a
-    # time-major one can take another BLAS path and round differently);
-    # the gate array holds its copy and each step overwrites its slice.
+    # term depends on the previous step. The product stays batch-major
+    # (one product per time step over the N windows can take another
+    # BLAS path and round differently); the gate array holds its copy and
+    # each step overwrites its slice.
     gates = np.empty((t_len, 4, n, d_h), dtype)
     _gate_major(x @ params.W.T, params.b, gates)
     h_prev = c_prev = np.zeros((n, d_h), dtype)
@@ -379,16 +385,20 @@ def lstm_hidden_batch(x, params):
     n, t_len, _ = x.shape
     d_h, dtype = params.d_h, params.W.dtype
     h = np.empty((t_len, n, d_h), dtype)
+    pre = np.empty((n, 4 * d_h), dtype)
     a = np.empty((4, n, d_h), dtype)
     c = np.zeros((n, d_h), dtype)
     h_prev = np.zeros((n, d_h), dtype)
-    # batch-major like lstm_forward_batch, and copied one step at a time
-    # into the preactivation buffer, so no second (N, T, 4*d_h) array is
-    # made; tanh of the cell state goes straight into h[t]
+    # The product is lstm_forward_batch's, batch-major. Each step sums
+    # (xw + b) + rr in the packed buffer, the training pass's order,
+    # with one strided read of xw and one contiguous add, then copies the
+    # sum into the gate-major a; tanh of the cell state goes straight
+    # into h[t].
     xw = x @ params.W.T
     for t in range(t_len):
-        _gate_major(xw[:, t], params.b, a)
-        a += _gate_rows(h_prev @ params.R.T)
+        np.add(xw[:, t], params.b, out=pre)
+        pre += h_prev @ params.R.T
+        np.copyto(a, _gate_rows(pre))
         _gate_step(a, c, c, h[t], h[t])
         h_prev = h[t]
     return h.transpose(1, 0, 2)

@@ -518,9 +518,9 @@ def test_predict_in_chunks_gives_the_one_chunk_bits(monkeypatch, d_h):
         assert [len(c) for c in chunks] == sizes
 
 
-def test_predict_memory_is_bounded_by_the_chunk_not_the_batch():
-    # 62.4 MB of 52-channel windows of 150 steps: scaling and projecting
-    # them whole took 160 MB above the input; chunks take about 20 MB
+def _predict_peak_bytes():
+    """tracemalloc's peak while a model predicts 62.4 MB of 52-channel
+    windows of 150 steps."""
     cfg = ModelConfig(encoder=(16,), decoder=(52,), n_features=52,
                       n_classes=21, horizon=150, seed=1)
     windows = np.random.default_rng(1).normal(size=(1000, 150, 52))
@@ -532,7 +532,29 @@ def test_predict_memory_is_bounded_by_the_chunk_not_the_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 20
+    return peak
+
+
+def test_predict_memory_is_bounded_by_the_chunk_not_the_batch():
+    # scaling and projecting the windows whole took 160 MB above the
+    # input; chunks take about 11 MB
+    assert _predict_peak_bytes() <= 40 * 2 ** 20
+
+
+def test_predict_passes_float32_chunks_without_a_float64_copy():
+    # a float64 round trip of each float32 chunk on its way into the
+    # encoder raised the peak from 11.3 to 20.8 MB
+    assert _predict_peak_bytes() <= 16 * 2 ** 20
+
+
+def test_predict_on_no_windows_returns_no_predictions():
+    cfg = tiny_config(n_classes=3)
+    model = TrainedModel(cfg, build_params(cfg), [],
+                         Scaler(np.zeros(3), np.ones(3)))
+    for batch in (np.empty((0, 5, 3)),
+                  WindowBatch(np.empty((0, 5, 3)), np.empty(0, int))):
+        preds = model.predict(batch)
+        assert preds.shape == (0,) and preds.dtype == np.int64
 
 
 def test_model_save_load_round_trip(tmp_path):

@@ -9,9 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from fddkit.dataio import Scaler, WindowBatch
 from fddkit.errors import ConfigError
-from fddkit.hierarchy import LabelMap
-from fddkit.model import train, tune
+from fddkit.hierarchy import HierarchicalModel, LabelMap
+from fddkit.model import (ModelConfig, TrainedModel, build_params, train,
+                          tune)
 from fddkit.plant import INCIPIENT_CLASSES, default_plant
 from fddkit.pipeline import (ExperimentSpec, classifier_config,
                              default_excitation, evaluate_classifier, fit,
@@ -194,6 +196,36 @@ def test_infer_with_twins_rejects_misalignment():
     labels[-1] += 1
     with pytest.raises(ConfigError, match="twin batches do not align"):
         infer_with_twins(hmodel, quiet, quiet.relabel(labels))
+
+
+def _untrained_model(n_classes, seed):
+    """A model of SMALL_HIER's window shape, with its initial weights."""
+    cfg = ModelConfig(encoder=(5,), decoder=(10,), n_features=10,
+                      n_classes=n_classes, horizon=10, seed=seed)
+    return TrainedModel(cfg, build_params(cfg), [],
+                        Scaler(np.zeros(10), np.ones(10)))
+
+
+def _no_windows():
+    return WindowBatch(np.empty((0, 10, 10)), np.empty(0, dtype=np.int64))
+
+
+def test_evaluate_classifier_on_no_windows_gives_an_empty_report():
+    report = evaluate_classifier(_untrained_model(3, 1), _no_windows())
+    assert report.cm.total == 0 and report.cm.counts.shape == (3, 3)
+    assert report.fdr_by_class == {} and report.far is None
+
+
+def test_infer_with_twins_on_empty_twins_predicts_nothing():
+    lmap = SMALL_HIER.label_map
+    hmodel = HierarchicalModel(_untrained_model(lmap.n_classes("level1"), 1),
+                               _untrained_model(lmap.n_classes("level2"), 2),
+                               lmap)
+    empty = _no_windows()
+    preds = infer_with_twins(hmodel, empty, empty)
+    assert preds.shape == (0,) and preds.dtype == np.int64
+    report = hierarchical_report(hmodel, empty, empty)
+    assert report.cm.total == 0 and report.far is None
 
 
 def test_infer_with_twins_matches_hand_composed_reference():

@@ -262,9 +262,17 @@ def per_gate_backward(x, p, h, c, gates, tanh_c, grad_h):
     return dW, dR, db, dx
 
 
+def time_major_view(x):
+    """x as an (N, T, d) view of (T, N, d) memory, the layout of the
+    hidden sequence that a layer hands to the next."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+# (481, 20, 10, 12) is the diagnose workload's inference shape; at d_h 49
+# to 59 some BLAS paths were found to round differently
 @pytest.mark.parametrize("n,t_len,d_x,d_h", [
     (7, 6, 3, 4), (5, 1, 2, 3), (4, 5, 3, 1), (1, 1, 1, 1), (128, 20, 10, 12),
-    (9, 150, 52, 16)])
+    (9, 150, 52, 16), (481, 20, 10, 12), (33, 7, 5, 55)])
 def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     rng = np.random.default_rng(n * 1000 + t_len * 100 + d_h)
     p = init_params([(d_x, d_h)], n_classes=2, seed=d_h).layers[0]
@@ -275,6 +283,10 @@ def test_packed_gates_match_per_gate_loop_exactly(n, t_len, d_x, d_h):
     ref_h, ref_c, ref_gates, ref_tanh_c = per_gate_forward(x, p)
     np.testing.assert_array_equal(h, ref_h)
     np.testing.assert_array_equal(lstm_hidden_batch(x, p), h)
+    # a second layer's input is a time-major view; it gives the same bits
+    xt = time_major_view(x)
+    np.testing.assert_array_equal(lstm_forward_batch(xt, p)[0], h)
+    np.testing.assert_array_equal(lstm_hidden_batch(xt, p), h)
     np.testing.assert_array_equal(c, ref_c)
     np.testing.assert_array_equal(cache.tanh_c, ref_tanh_c)
     assert cache.gates.shape == (t_len, 4, n, d_h)
@@ -444,11 +456,29 @@ def test_float32_passes_return_float32_arrays():
         assert a.dtype == np.float32
 
 
-@pytest.mark.parametrize("n,t_len,d_x,d_h", SHAPES)
+@pytest.mark.parametrize("n,t_len,d_x,d_h",
+                         SHAPES + [(481, 20, 10, 12), (33, 7, 5, 55)])
 def test_float32_hidden_pass_equals_training_pass_bitwise(n, t_len, d_x, d_h):
     _, p32, x, _ = float32_case(n, t_len, d_x, d_h)
-    h, _, _ = lstm_forward_batch(x, p32)
-    assert lstm_hidden_batch(x, p32).tobytes() == h.tobytes()
+    for x in (x, time_major_view(x.astype(np.float32))):
+        h, _, _ = lstm_forward_batch(x, p32)
+        assert lstm_hidden_batch(x, p32).tobytes() == h.tobytes()
+
+
+def test_hidden_pass_equals_training_pass_bitwise_on_random_shapes():
+    rng = np.random.default_rng(24)
+    for case in range(100):
+        n, t_len = rng.integers(1, 300), rng.integers(1, 60)
+        d_x, d_h = rng.integers(1, 53), rng.integers(1, 60)
+        dtype = (np.float32, np.float64)[case % 2]
+        p = init_params([(d_x, d_h)], n_classes=2,
+                        seed=case).astype(dtype).layers[0]
+        x = rng.normal(size=(n, t_len, d_x)).astype(dtype)
+        if case % 4 >= 2:
+            x = time_major_view(x)
+        h, _, _ = lstm_forward_batch(x, p)
+        assert lstm_hidden_batch(x, p).tobytes() == h.tobytes(), (
+            n, t_len, d_x, d_h, dtype)
 
 
 @pytest.mark.parametrize("n,t_len,d_x,d_h", SHAPES)
