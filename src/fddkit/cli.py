@@ -12,6 +12,8 @@ apply: an "archive" (an ingest output directory) with "n_classes" and
 from the "surrogate" recipe (classes, incipient, n_series,
 n_series_level2, horizon, window, onset), which alone gives the classes,
 probed at level 2 with a "prbs" plan; "model" gives the network.
+evaluate scores the flat "model" or the two-level "level1" + "level2"
+that its config names, probed exactly when the config has a "prbs" key.
 """
 
 import argparse
@@ -143,10 +145,13 @@ def _fault_from(cfg):
                                    required=("kind", "target")))
 
 
-def _plan_from(cfg, plant):
+def _plan_from(cfg, plant=None):
+    """The config's prbs plan for plant, else None; the default plant is
+    built only for a plan (its checks add about 1 MiB to a run's peak)."""
     node = cfg.get("prbs")
     if node is None:
         return None
+    plant = default_plant() if plant is None else plant
     if node == "default":
         return default_excitation(plant)
     if isinstance(node, str):
@@ -316,10 +321,8 @@ def _model_config(cfg, n_classes, train_b, seed):
 
 
 def _level2_plan(cfg, mode):
-    """The plan level-2 training data is recorded with; read, and so
-    checked, in every mode. Without a prbs key no plant is built: its
-    eigenvalue check alone adds about 1 MiB to an archive run's peak."""
-    plan = _plan_from(cfg, default_plant()) if "prbs" in cfg else None
+    """The plan level-2 data is recorded with, read (so checked) always."""
+    plan = _plan_from(cfg)
     return plan if mode == "level2" else None
 
 
@@ -363,17 +366,18 @@ def cmd_tune(args):
 
 
 def cmd_evaluate(args):
-    cfg = _load_config(args.config, "evaluate", ("level1", "level2")
-                       if args.hierarchical else ("model",))
+    cfg = _load_config(args.config, "evaluate")
     seed = cfg["seed"]
-    plan = None
-    if args.prbs == "on":
-        if "archive" in cfg:
-            raise ConfigError("probed evaluation needs surrogate data, "
-                              "not an archive")
-        plant = default_plant()
-        plan = _plan_from(cfg, plant) or default_excitation(plant)
-    if args.hierarchical:
+    names = [key for key in ("model", "level1", "level2") if key in cfg]
+    if names not in (["model"], ["level1", "level2"]):
+        raise ConfigError("evaluate needs 'model' alone (flat) or 'level1' "
+                          f"and 'level2' (two-level), not {names}")
+    plan = _plan_from(cfg)
+    if "model" in cfg:
+        model = load_model(Path(cfg["model"]))
+        test_b, _ = _data(cfg, seed, "test", plan=plan)
+        name = cfg["model"]
+    else:
         level1 = load_model(Path(cfg["level1"]))
         if "archive" in cfg:
             # level 1 merges the incipient classes into the normal class
@@ -389,16 +393,12 @@ def cmd_evaluate(args):
         test_b = (quiet if plan is None
                   else _data(cfg, seed, "test", plan=plan)[0])
         name = f"{cfg['level1']}+{cfg['level2']}"
-    else:
-        model = load_model(Path(cfg["model"]))
-        test_b, _ = _data(cfg, seed, "test", plan=plan)
-        name = cfg["model"]
     metadata = {"seed": seed, "horizon": test_b.horizon,
                 "dataset": cfg.get("archive", "surrogate"),
-                "prbs": args.prbs, "model": name}
-    report = (hierarchical_report(hmodel, quiet, test_b, metadata)
-              if args.hierarchical
-              else evaluate_classifier(model, test_b, metadata=metadata))
+                "prbs": "off" if plan is None else "on", "model": name}
+    report = (evaluate_classifier(model, test_b, metadata=metadata)
+              if "model" in cfg
+              else hierarchical_report(hmodel, quiet, test_b, metadata))
     out = _out_dir(args)
     save_report(report, out)
     print(format_report(report), end="")
@@ -469,8 +469,6 @@ def _build_parser():
 
     p = sub.add_parser("evaluate", help="score a model, emit a report")
     common(p)
-    p.add_argument("--hierarchical", action="store_true")
-    p.add_argument("--prbs", choices=("on", "off"), default="off")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("prbs", help="excitation design")

@@ -63,9 +63,9 @@ class LabelMap:
 
     def n_classes(self, mode):
         """The class count of a model trained in mode."""
-        if check_mode(mode) == "flat":   # counted, not listed: it may be huge
-            return self.n_original
-        return len(self.classes(mode))
+        k = len(self.incipient)   # counted, not listed: n_original may be huge
+        return {"flat": self.n_original, "level1": self.n_original - k,
+                "level2": 1 + k}[check_mode(mode)]
 
     def relabel(self, batch, mode):
         """batch as a model trained in mode sees it: flat keeps it as it

@@ -322,10 +322,10 @@ def _gate_step(a, c_prev, c, tanh_c, h):
 
 
 def _gate_major(xw, b, out):
-    """Copy the batch-major input projection xw (N, ..., 4*d_h) into the
-    gate-major out (..., 4, N, d_h), adding the bias b on the way."""
-    n, d_h = xw.shape[0], b.size // 4
-    xw = xw.reshape(n, -1, 4, d_h).transpose(1, 2, 0, 3).reshape(out.shape)
+    """Copy the batch-major input projection xw (N, T, 4*d_h), N >= 0,
+    into the gate-major out (T, 4, N, d_h), adding the bias b on the way."""
+    d_h = b.size // 4
+    xw = xw.reshape(*xw.shape[:2], 4, d_h).transpose(1, 2, 0, 3)
     np.add(xw, b.reshape(4, 1, d_h), out=out)
 
 

@@ -188,10 +188,10 @@ def test_hierarchical_cli_flow(tmp_path):
     assert main(["train", "--config", c2, "--out", str(l2),
                  "--mode", "level2"]) == 0
     ev = write_config(tmp_path / "ev.json",
-                      {**base, "level1": str(l1), "level2": str(l2)})
+                      {**base, "prbs": "default", "level1": str(l1),
+                       "level2": str(l2)})
     rep = tmp_path / "rep"
-    assert main(["evaluate", "--config", ev, "--out", str(rep),
-                 "--hierarchical", "--prbs", "on"]) == 0
+    assert main(["evaluate", "--config", ev, "--out", str(rep)]) == 0
     counts = np.loadtxt(rep / "confusion.txt", dtype=np.int64)
     assert counts.shape == (12, 12)
 
@@ -283,21 +283,15 @@ def test_corrupt_params_exit_one(tmp_path, capsys):
     save_model(TrainedModel(config, build_params(config), [],
                             Scaler(np.zeros(10), np.ones(10))), model_dir)
     blob = (model_dir / "params.bin").read_bytes()
-    eval_cfg = write_config(tmp_path / "eval.json",
-                            {"seed": 2, "surrogate": TINY_SURROGATE,
-                             "model": str(model_dir),
-                             "level1": str(model_dir),
-                             "level2": str(model_dir)})
     # a NaN or an infinity as the last weight of the head
     non_finite = [blob[:-8] + np.array([v], dtype="<f8").tobytes()
                   for v in (np.nan, np.inf, -np.inf)]
     for junk in [b"not a parameter file", blob[:10], blob[:-8],
                  blob + b"\0", *non_finite]:
         (model_dir / "params.bin").write_bytes(junk)
-        for mode in ([], ["--hierarchical"]):
+        for hierarchical in (False, True):
             _assert_one_line_exit_one(
-                ["evaluate", "--config", eval_cfg,
-                 "--out", str(tmp_path / "rep")] + mode, capsys)
+                _evaluate_argv(tmp_path, model_dir, hierarchical), capsys)
 
 
 def test_tune_rejects_unknown_mode(tmp_path, capsys):
@@ -423,37 +417,28 @@ def test_corrupt_scaler_exits_one(tmp_path, capsys, kind, seed):
         ["ingest", "--config", ing, "--out", str(tmp_path / "arc")], capsys)
     model_dir = _saved_model(tmp_path / "model")
     (model_dir / "scaler.json").write_bytes(bad.read_bytes())
-    ev = write_config(tmp_path / "eval.json",
-                      {"seed": 2, "surrogate": TINY_SURROGATE,
-                       "model": str(model_dir), "level1": str(model_dir),
-                       "level2": str(model_dir)})
-    for mode in ([], ["--hierarchical"]):
+    for hierarchical in (False, True):
         assert "scaler" in _assert_one_line_exit_one(
-            ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
-            + mode, capsys)
+            _evaluate_argv(tmp_path, model_dir, hierarchical), capsys)
 
 
 def test_model_without_scaler_exits_one(tmp_path, capsys):
     # such a model was evaluated on raw windows and exited 0
     model_dir = _saved_model(tmp_path / "model")
     (model_dir / "scaler.json").unlink()
-    ev = write_config(tmp_path / "eval.json",
-                      {"seed": 2, "surrogate": TINY_SURROGATE,
-                       "model": str(model_dir), "level1": str(model_dir),
-                       "level2": str(model_dir)})
-    for mode in ([], ["--hierarchical"]):
+    for hierarchical in (False, True):
         assert "scaler.json" in _assert_one_line_exit_one(
-            ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
-            + mode, capsys)
+            _evaluate_argv(tmp_path, model_dir, hierarchical), capsys)
 
 
-def _evaluate_argv(tmp_path, model_dir, *mode):
+def _evaluate_argv(tmp_path, model_dir, hierarchical=False):
+    """argv of an evaluate of model_dir on surrogate data: as the flat
+    model, or as both level models of a two-level one."""
+    models = ({"level1": str(model_dir), "level2": str(model_dir)}
+              if hierarchical else {"model": str(model_dir)})
     ev = write_config(tmp_path / "eval.json",
-                      {"seed": 2, "surrogate": TINY_SURROGATE,
-                       "model": str(model_dir), "level1": str(model_dir),
-                       "level2": str(model_dir)})
-    return ["evaluate", "--config", ev, "--out", str(tmp_path / "rep"),
-            *mode]
+                      {"seed": 2, "surrogate": TINY_SURROGATE, **models})
+    return ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
 
 
 @pytest.mark.filterwarnings("error")
@@ -480,9 +465,9 @@ def test_params_weight_float32_cannot_take_exits_one(tmp_path, capsys):
     blob = path.read_bytes()
     for weight in (F32_WEIGHT_LIMIT, -1e300):
         path.write_bytes(blob[:-8] + np.array([weight], "<f8").tobytes())
-        for mode in ([], ["--hierarchical"]):
+        for hierarchical in (False, True):
             err = _assert_one_line_exit_one(
-                _evaluate_argv(tmp_path, model_dir, *mode), capsys)
+                _evaluate_argv(tmp_path, model_dir, hierarchical), capsys)
             assert "params.bin" in err and "corrupt" in err
     # the largest weight below the limit loads and predicts
     path.write_bytes(blob[:-8] + np.array(
@@ -863,10 +848,9 @@ def test_config_path_that_is_not_a_string_exits_one(tmp_path, capsys, key,
         cfg = {"seed": 0}
     else:
         argv = ["evaluate", "--out", str(tmp_path / "rep")]
-        cfg = {"seed": 2, "surrogate": TINY_SURROGATE, "model": model_dir,
-               "level1": model_dir, "level2": model_dir}
-        if key != "model":
-            argv.append("--hierarchical")
+        cfg = {"seed": 2, "surrogate": TINY_SURROGATE}
+        cfg.update({"model": model_dir} if key == "model"
+                   else {"level1": model_dir, "level2": model_dir})
     cfg[key] = value
     err = _assert_one_line_exit_one(
         argv + ["--config", write_config(tmp_path / "c.json", cfg)], capsys)
@@ -1342,7 +1326,7 @@ def test_flat_probed_evaluate_simulates_the_probed_split_only(tmp_path,
     model_dir = _saved_model(tmp_path / "model")
     cfg = write_config(tmp_path / "eval.json",
                        {"seed": 2, "surrogate": TINY_SURROGATE,
-                        "model": str(model_dir)})
+                        "prbs": "default", "model": str(model_dir)})
     runs = []
     real = fddkit.pipeline.simulate_scenario
 
@@ -1352,8 +1336,7 @@ def test_flat_probed_evaluate_simulates_the_probed_split_only(tmp_path,
 
     monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", counting)
     rep = tmp_path / "rep"
-    assert main(["evaluate", "--config", cfg, "--out", str(rep),
-                 "--prbs", "on"]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(rep)]) == 0
     monkeypatch.undo()
     # one probed run per class of the 3-class recipe, no quiet twin
     assert runs == [True] * 3
@@ -1382,12 +1365,12 @@ def test_hierarchical_evaluate_writes_the_hierarchical_report(tmp_path, prbs):
     l1, l2 = tmp_path / "l1", tmp_path / "l2"
     save_model(hmodel.level1, l1)
     save_model(hmodel.level2, l2)
+    probing = {"prbs": "default"} if prbs == "on" else {}
     cfg = write_config(tmp_path / "ev.json",
                        {"seed": 4, "surrogate": surr, "level1": str(l1),
-                        "level2": str(l2)})
+                        "level2": str(l2), **probing})
     rep = tmp_path / "rep"
-    assert main(["evaluate", "--config", cfg, "--out", str(rep),
-                 "--hierarchical", "--prbs", prbs]) == 0
+    assert main(["evaluate", "--config", cfg, "--out", str(rep)]) == 0
 
     quiet = scenario_batch(4, "test", spec)
     probed = (scenario_batch(4, "test", spec, prbs=plan) if prbs == "on"
@@ -1435,7 +1418,7 @@ def test_hierarchical_evaluate_checks_models_against_the_label_map(
         cfg.update(incipient=[3], n_classes=21)
     elif case == "swapped":
         cfg.update(level1=l2, level2=l1)
-    argv = ["evaluate", "--hierarchical", "--config",
+    argv = ["evaluate", "--config",
             write_config(tmp_path / "ev.json", cfg),
             "--out", str(tmp_path / "rep")]
     if case == "derived":
@@ -1447,6 +1430,70 @@ def test_hierarchical_evaluate_checks_models_against_the_label_map(
     else:
         err = _assert_one_line_exit_one(argv, capsys)
         assert "classes" in err
+
+
+@pytest.mark.parametrize("models", [
+    ("model", "level1", "level2"), ("level1",), ("level2",), ()],
+    ids=["all_three", "level1_alone", "level2_alone", "none"])
+def test_evaluate_that_names_no_one_model_exits_one(tmp_path, capsys,
+                                                    monkeypatch, models):
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", simulating)
+    model_dir = str(_saved_model(tmp_path / "model"))
+    cfg = {"seed": 2, "surrogate": TINY_SURROGATE, "prbs": "default",
+           **dict.fromkeys(models, model_dir)}
+    out = tmp_path / "rep"
+    err = _assert_one_line_exit_one(
+        ["evaluate", "--config", write_config(tmp_path / "ev.json", cfg),
+         "--out", str(out)], capsys)
+    assert "'model' alone" in err and "'level1' and 'level2'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models, prbs, named", [
+    (("level1", "level2"), "missing_plan.json", "missing_plan.json"),
+    (("model",), {"bogus": 1}, "bogus")], ids=["levels", "flat"])
+def test_evaluate_reads_its_prbs_key(tmp_path, capsys, models, prbs, named):
+    # both were accepted and left unread without the probing flag
+    model_dir = str(_saved_model(tmp_path / "model"))
+    cfg = {"seed": 2, "surrogate": TINY_SURROGATE, "prbs": prbs,
+           **dict.fromkeys(models, model_dir)}
+    err = _assert_one_line_exit_one(
+        ["evaluate", "--config", write_config(tmp_path / "ev.json", cfg),
+         "--out", str(tmp_path / "rep")], capsys)
+    assert named in err
+
+
+@pytest.mark.parametrize("flag", [["--hierarchical"], ["--prbs", "on"]])
+def test_evaluate_flags_are_usage_errors(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path / "ev.json", {"seed": 1, "model": "m"})
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--config", cfg, "--out", str(tmp_path / "rep"),
+              *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
+def test_archive_evaluate_builds_no_plant(tmp_path, monkeypatch):
+    base = _archive_level_models(tmp_path, 12)
+    assert main(["train", "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "flat"), "--mode", "flat"]) == 0
+
+    def building(*args, **kwargs):
+        raise AssertionError("built a plant for archive data")
+
+    monkeypatch.setattr(fddkit.cli, "default_plant", building)
+    for models in ({"model": "flat"}, {"level1": "level1",
+                                        "level2": "level2"}):
+        cfg = {**base, **{k: str(tmp_path / v) for k, v in models.items()}}
+        assert main(["evaluate", "--config",
+                     write_config(tmp_path / "ev.json", cfg),
+                     "--out", str(tmp_path / "rep")]) == 0
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["metadata"]["prbs"] == "off"
 
 
 @pytest.mark.filterwarnings("error")

@@ -25,6 +25,18 @@ def test_regroup_thirteen_classes():
     assert LabelMap([11, 3, 9, 3], 13) == lmap
 
 
+def test_class_counts_of_a_huge_alphabet_are_counted_not_listed(
+        monkeypatch):
+    # listing the level-1 classes of a config's n_classes of 2**63 grew
+    # a tuple until the process ran out of memory
+    def listing(self, mode):
+        raise AssertionError("listed the classes to count them")
+
+    monkeypatch.setattr(LabelMap, "classes", listing)
+    lmap = LabelMap((3, 9), 2 ** 63)
+    assert [lmap.n_classes(m) for m in MODES] == [2 ** 63, 2 ** 63 - 2, 3]
+
+
 def test_regroup_empty_incipient_is_identity():
     labels = np.array([0, 4, 2, 1, 3, 0])
     lmap = LabelMap((), 5)

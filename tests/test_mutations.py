@@ -83,15 +83,14 @@ def root(tmp_path_factory):
     for mode in ("flat", "level1", "level2"):
         assert _run(["train", "--mode", mode, "--config", train,
                      "--out", str(root / mode)])[0] == 0
-    evaluate = _write(root / "evaluate.json",
-                      {"seed": 1, "archive": str(arc),
-                       "model": str(root / "flat"),
-                       "level1": str(root / "level1"),
-                       "level2": str(root / "level2"),
-                       "incipient": [2], "n_classes": 3})
-    out = str(root / "out")
-    assert _run(["evaluate", "--config", evaluate, "--out",
-                 str(root / "report")])[0] == 0
+    data = {"seed": 1, "archive": str(arc), "incipient": [2],
+            "n_classes": 3}
+    _write(root / "evaluate_flat.json", {**data, "model": str(root / "flat")})
+    _write(root / "evaluate_levels.json",
+           {**data, "level1": str(root / "level1"),
+            "level2": str(root / "level2")})
+    assert _run(["evaluate", "--config", str(root / "evaluate_flat.json"),
+                 "--out", str(root / "report")])[0] == 0
     assert _run(["prbs", "design", "--config",
                  _write(root / "band.json", {"seed": 1}),
                  "--out", str(root / "plan")])[0] == 0
@@ -102,14 +101,13 @@ def root(tmp_path_factory):
 def artifacts(root):
     """Paths of the saved files and the runs that read each of them."""
     arc = root / "archive"
-    evaluate = str(root / "evaluate.json")
     out = str(root / "out")
     plan = str(root / "plan" / "plan.json")
 
     runs = {
-        "evaluate": [["evaluate", "--config", evaluate, "--out", out],
-                     ["evaluate", "--hierarchical", "--config", evaluate,
-                      "--out", out]],
+        "evaluate": [["evaluate", "--out", out, "--config",
+                      str(root / f"evaluate_{kind}.json")]
+                     for kind in ("flat", "levels")],
         "ingest": [["ingest", "--out", out, "--config", _write(
             root / "reingest.json",
             {"seed": 1, "data": str(root / "records.txt"),
@@ -263,7 +261,8 @@ def configs(root):
                  "n_series_level2": 1, "horizon": 30, "window": 10,
                  "onset": 10}
     train = [["train", "--mode", mode] for mode in ("flat", "level2")]
-    evaluate = json.loads((root / "evaluate.json").read_text())
+    evaluate = [json.loads((root / f"evaluate_{kind}.json").read_text())
+                for kind in ("flat", "levels")]
     return [
         (["simulate"], {
             "seed": 1, "horizon": 40, "plant": plant_node,
@@ -293,8 +292,7 @@ def configs(root):
         *[(argv, {"seed": 1, "archive": str(root / "archive"),
                   "n_classes": 3, "incipient": [2],
                   "model": {**model, "epochs": 0}}) for argv in train],
-        (["evaluate"], evaluate),
-        (["evaluate", "--hierarchical"], evaluate),
+        *[(["evaluate"], cfg) for cfg in evaluate],
     ]
 
 

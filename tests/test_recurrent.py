@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fddkit.errors import DimensionError, FormatError, NumericError
+from fddkit.model import model_forward
 from fddkit.recurrent import (AdamState, LstmParams, ParamSet, adam_step,
                               clip_global_norm, finite_diff_grad, global_norm,
                               init_adam, init_params, lstm_backward,
@@ -403,6 +404,22 @@ def test_single_sequence_backward_shapes():
     grads, dx = lstm_backward(cache, np.ones_like(h))
     assert dx.shape == x.shape
     assert grads.W.shape == p.W.shape
+
+
+def test_zero_windows_give_empty_arrays_of_the_right_shapes():
+    # the training pass raised a bare ValueError here (a reshape with -1
+    # next to the empty batch axis)
+    p = init_params([(3, 4), (4, 3)], n_classes=2, seed=0, n_encoder=1)
+    x = np.empty((0, 5, 3))
+    h, c, cache = lstm_forward_batch(x, p.layers[0])
+    assert h.shape == c.shape == (0, 5, 4)
+    grads, dx = lstm_backward(cache, np.empty((0, 5, 4)))
+    assert dx.shape == (0, 5, 3)
+    for g, w in zip((grads.W, grads.R, grads.b),
+                    (p.layers[0].W, p.layers[0].R, p.layers[0].b)):
+        assert g.shape == w.shape and not np.any(g)
+    recon, probs, z = model_forward(x, p)
+    assert (recon.shape, probs.shape, z.shape) == ((0, 5, 3), (0, 2), (0, 4))
 
 
 def test_backward_without_input_gradient_keeps_parameter_gradients():
