@@ -13,8 +13,8 @@ from .errors import (ConfigError, DesignError, DimensionError, FddError,
                      SplitError, UndefinedMetricError)
 from .hierarchy import HierarchicalModel, LabelMap
 from .metrics import (ConfusionMatrix, EvalReport, average_fdr,
-                      build_report, confusion, far, fdr, fdr_precision,
-                      format_report, load_report, save_report)
+                      build_report, confusion, far, fdr, format_report,
+                      load_report, save_report)
 from .model import (ModelConfig, TrainedModel, load_model, sae_loss,
                     save_model, train, tune)
 from .pipeline import (ExperimentSpec, default_excitation, fit,
@@ -37,7 +37,7 @@ __all__ = [
     "UndefinedMetricError", "WindowBatch", "average_fdr", "build_report",
     "concat_batches", "confusion", "default_excitation",
     "default_fault_library", "default_plant", "design_band", "far", "fdr",
-    "fdr_precision", "fit", "fit_hierarchical", "format_report",
+    "fit", "fit_hierarchical", "format_report",
     "generate_mls", "hierarchical_report", "infer_with_twins",
     "load_labels", "load_matrix", "load_model", "load_plan", "load_report",
     "make_windows", "plan_from_band", "prbs_spectrum",

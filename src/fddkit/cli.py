@@ -14,6 +14,8 @@ n_series_level2, horizon, window, onset), which alone gives the classes,
 probed at level 2 with a "prbs" plan; "model" gives the network.
 evaluate scores the flat "model" or the two-level "level1" + "level2"
 that its config names, probed exactly when the config has a "prbs" key.
+The mode decides too: a flat model reads no "incipient", and of train
+and tune only --mode level2 reads "prbs".
 """
 
 import argparse
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
+from .dataio import (INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                      NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT, Scaler,
                      SplitSpec, WindowBatch, load_labels, load_matrix,
                      make_windows, read_fields, read_json, save_labels,
@@ -54,14 +56,20 @@ _TRAIN = {**_SOURCE, "model": OBJECT}
 _ROOTS = {
     "simulate": {**_DESIGN, "horizon": INTEGER, "fault": OBJECT},
     "ingest": {**_SEED, "data": PATH, "labels": PATH, "window": INTEGER,
-               "expected_cols": INTEGER, "split": OBJECT,
-               "contiguous": BOOL, "scaler": PATH},
+               "expected_cols": INTEGER, "split": OBJECT, "scaler": PATH},
     "train": _TRAIN,
     "tune": {**_TRAIN, "budget": INTEGER, "search_space": OBJECT},
     "evaluate": {**_SOURCE, "model": PATH, "level1": PATH, "level2": PATH},
     "prbs design": _DESIGN,
     "report": {**_SEED, "report": PATH},
 }
+# The keys a mode leaves unread, beyond its data source's: a flat model
+# reads the labels as they are, and of the data a model trains on only
+# level 2's runs probed, while evaluate probes any test split.
+_FIT_UNREAD = {"flat": ("incipient", "prbs"), "level1": ("prbs",),
+               "level2": ()}
+_MODE_UNREAD = {"train": _FIT_UNREAD, "tune": _FIT_UNREAD,
+                "evaluate": {"flat": ("incipient",), "two-level": ()}}
 PLANT = {
     "a": MATRIX, "b": MATRIX, "c": MATRIX, "noise_std": NUMBERS,
     "controlled": INTEGERS, "setpoints": NUMBERS, "setpoint_ranges": NUMBERS,
@@ -90,9 +98,10 @@ SEARCH_SPACE = {
     for key, kind in MODEL_FIELDS.items()}
 
 
-def _load_config(path, command, required=()):
+def _load_config(path, command, required=(), mode=None):
     """The config's root, read by the command's table; the seed and the
-    required keys must be present."""
+    required keys must be present, and a key that the data source or
+    mode (train and tune's --mode) leaves unread is refused."""
     try:
         cfg = read_json(path)
     except OSError as exc:
@@ -112,6 +121,12 @@ def _load_config(path, command, required=()):
         if key in cfg:
             raise ConfigError(f"config key {key!r} does not apply to "
                               f"{source} data")
+    if command == "evaluate":   # the models it names give its mode
+        mode = "flat" if "model" in cfg else "two-level"
+    for key in _MODE_UNREAD[command][mode]:
+        if key in cfg:
+            raise ConfigError(f"config key {key!r} is not read by {command} "
+                              f"in {mode} mode")
     if source == "archive":
         cfg.setdefault("incipient", INCIPIENT_CLASSES)
     return cfg
@@ -222,10 +237,8 @@ def cmd_ingest(args):
     node = read_fields(cfg.get("split", {"train": 0.6, "val": 0.2,
                                          "test": 0.2}),
                        SPLIT, "split", ConfigError)
-    spec = SplitSpec(**{"train": 0.0, "val": 0.0, "test": 0.0, **node},
-                     **_given(cfg, "contiguous"))
-    parts = dict(zip(("train", "val", "test"),
-                     split(batch, spec, seed=cfg["seed"])))
+    spec = SplitSpec(**{"train": 0.0, "val": 0.0, "test": 0.0, **node})
+    parts = dict(zip(("train", "val", "test"), split(batch, spec)))
     if "scaler" in cfg:
         # Pre-split archives keep training and held-out recordings in
         # separate files; the held-out ingest reuses the saved scaler.
@@ -247,8 +260,7 @@ def cmd_ingest(args):
         counts[name] = len(part)
     scaler.save(out / "scaler.json")
     meta = {"window": window, "n_features": batch.n_features,
-            "counts": counts, "seed": cfg["seed"],
-            "contiguous": spec.contiguous}
+            "counts": counts, "seed": cfg["seed"]}
     write_json(out / "meta.json", meta)
     print("ingested windows:",
           " ".join(f"{k}={v}" for k, v in counts.items()))
@@ -320,16 +332,10 @@ def _model_config(cfg, n_classes, train_b, seed):
         cfg.get("model", {}), MODEL_FIELDS, "model", ConfigError))
 
 
-def _level2_plan(cfg, mode):
-    """The plan level-2 data is recorded with, read (so checked) always."""
-    plan = _plan_from(cfg)
-    return plan if mode == "level2" else None
-
-
 def cmd_train(args):
-    cfg = _load_config(args.config, "train")
+    cfg = _load_config(args.config, "train", mode=args.mode)
     seed, mode = cfg["seed"], args.mode
-    train_b, lmap = _data(cfg, seed, "train", mode, _level2_plan(cfg, mode))
+    train_b, lmap = _data(cfg, seed, "train", mode, _plan_from(cfg))
     # an archive's val split, where it has one, picks the best epoch;
     # surrogate training simulates none
     val_b = None
@@ -349,9 +355,9 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
-    cfg = _load_config(args.config, "tune")
+    cfg = _load_config(args.config, "tune", mode=args.mode)
     seed, mode = cfg["seed"], args.mode
-    plan = _level2_plan(cfg, mode)
+    plan = _plan_from(cfg)
     train_b, lmap = _data(cfg, seed, "train", mode, plan)
     val_b, _ = _data(cfg, seed, "val", mode, plan, lmap)
     mcfg = _model_config(cfg, lmap.n_classes(mode), train_b, seed)
@@ -428,12 +434,12 @@ def cmd_report(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; here 2 is reserved for numeric
-    divergence, so usage problems exit 1 instead."""
+    """argparse exits 2 on usage errors, after the usage; here 2 is
+    reserved for numeric divergence, so a usage problem exits 1 with one
+    line, as every other bad input does."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"fddkit: error: {message}\n")
 
 
 def _build_parser():
@@ -464,7 +470,7 @@ def _build_parser():
 
     p = sub.add_parser("tune", help="successive-halving search")
     common(p)
-    p.add_argument("--mode", choices=MODES, default="flat")
+    p.add_argument("--mode", required=True, choices=MODES)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("evaluate", help="score a model, emit a report")

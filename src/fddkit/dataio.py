@@ -148,7 +148,6 @@ NUMBER_OR_NULL = _Kind("a number or null",
 STRING = _Kind("a string", lambda v: v if isinstance(v, str) else _WRONG)
 # open() would take an integer path as a file descriptor, and stdin is 0.
 PATH = _Kind("a path string", STRING.read)
-BOOL = _Kind("true or false", lambda v: v if type(v) is bool else _WRONG)
 OBJECT = _Kind("a JSON object",
                lambda v: v if isinstance(v, dict) else _WRONG)
 STRING_OR_OBJECT = _Kind("a string or a JSON object",
@@ -369,7 +368,6 @@ class SplitSpec:
     train: float
     val: float
     test: float
-    contiguous: bool = True
 
     def __post_init__(self):
         fracs = (self.train, self.val, self.test)
@@ -379,29 +377,23 @@ class SplitSpec:
             raise ConfigError(f"split fractions sum to {sum(fracs)}, not 1")
 
 
-def split(batch, spec, seed=0):
-    """Partition a batch into (train, val, test).
+def split(batch, spec):
+    """Partition a batch into (train, val, test), in time order.
 
-    Both modes cut runs of windows by rank: the first round(train * k)
-    of a run of k go to train, the next round(val * k) to val and the
-    rest to test, with counts rounded half to even. Contiguous mode
-    cuts each run of equal (series, label) in time order, then drops
-    every train window that shares a sample with a test window of its
-    series, so no test information leaks into training; each part lists
-    its windows in batch order. Shuffled mode cuts one run, the seed's
-    permutation of the batch, and keeps that order.
+    Each run of windows of equal (series, label), in time order, is cut
+    by rank: the first round(train * k) of a run of k go to train, the
+    next round(val * k) to val and the rest to test, with counts
+    rounded half to even. Every train window that shares a sample with
+    a test window of its series is then dropped, so no test information
+    leaks into training. Each part lists its windows in batch order.
     """
     n = len(batch)
     if n == 0:
         raise SplitError("cannot split an empty batch")
-    run_start = np.zeros(n, dtype=bool)
-    run_start[0] = True
-    if spec.contiguous:
-        order = np.lexsort((batch.starts, batch.series))
-        sid, lab = batch.series[order], batch.labels[order]
-        run_start[1:] = (sid[1:] != sid[:-1]) | (lab[1:] != lab[:-1])
-    else:
-        order = np.random.default_rng(seed).permutation(n)
+    order = np.lexsort((batch.starts, batch.series))
+    sid, lab = batch.series[order], batch.labels[order]
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = (sid[1:] != sid[:-1]) | (lab[1:] != lab[:-1])
     run = np.cumsum(run_start) - 1
     first = np.flatnonzero(run_start)
     size = np.diff(np.append(first, n))
@@ -409,10 +401,8 @@ def split(batch, spec, seed=0):
     n_train = np.rint(spec.train * size)[run]
     n_val = np.rint(spec.val * size)[run]
     cut = (rank >= n_train).astype(np.int64) + (rank >= n_train + n_val)
-    parts = [order[cut == k] for k in range(3)]
-    if spec.contiguous:
-        parts = [np.sort(idx) for idx in parts]
-        parts[0] = parts[0][~_shares_test_sample(batch, parts[0], parts[2])]
+    parts = [np.sort(order[cut == k]) for k in range(3)]
+    parts[0] = parts[0][~_shares_test_sample(batch, parts[0], parts[2])]
     return tuple(_check_part(batch, idx, frac)
                  for idx, frac in zip(parts, (spec.train, spec.val, spec.test)))
 

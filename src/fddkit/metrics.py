@@ -2,9 +2,8 @@
 
 fdr(cm, i) is the recall of class i: the fraction of true-i samples
 predicted as i. far(cm, normal) is the fraction of true-normal samples
-predicted as anything else. A precision-style rate TP/(TP+FP) is exposed
-separately as fdr_precision for comparison purposes; it is not the
-quantity used in the summary tables.
+predicted as anything else. A report's average_fdr is average_fdr over
+the non-normal classes that have true samples.
 """
 
 from dataclasses import dataclass, field
@@ -72,15 +71,6 @@ def far(cm, normal=0):
     return float(n_true - row[normal]) / float(n_true)
 
 
-def fdr_precision(cm, i):
-    """TP/(TP+FP) for class i; kept distinct from the recall-style fdr."""
-    col = cm.counts[:, i]
-    denom = col.sum()
-    if denom == 0:
-        raise UndefinedMetricError(f"class {i} never predicted")
-    return float(cm.counts[i, i]) / float(denom)
-
-
 def average_fdr(cm, classes):
     classes = list(classes)
     if not classes:
@@ -112,7 +102,7 @@ def build_report(cm, normal=0, metadata=None):
     rates = {i: fdr(cm, i) for i in present}
     avg_classes = tuple(i for i in present if i != normal)
     rate = far(cm, normal) if cm.counts[normal].sum() > 0 else None
-    avg = float(np.mean([rates[i] for i in avg_classes])) if avg_classes else None
+    avg = average_fdr(cm, avg_classes) if avg_classes else None
     return EvalReport(cm, rates, rate, avg, avg_classes, normal,
                       dict(metadata or {}))
 

@@ -301,16 +301,6 @@ def simulate_scenario(plant, fault=None, prbs=None, horizon=500):
     return ScenarioDataset(records, labels, n_u)
 
 
-def snr_per_output(fault_records, normal_records, n_outputs, onset=0):
-    """Mean-shift signal-to-noise ratio per sensor, past the onset."""
-    f = np.asarray(fault_records)[onset:, :n_outputs]
-    n = np.asarray(normal_records)[onset:, :n_outputs]
-    shift = np.abs(f.mean(axis=0) - n.mean(axis=0))
-    spread = n.std(axis=0)
-    spread = np.where(spread <= 1e-12, 1.0, spread)
-    return shift / spread
-
-
 def default_plant(seed=0):
     """The stock 4-state, 8-sensor, 2-loop surrogate."""
     a = np.array([

@@ -14,7 +14,7 @@ import pytest
 import fddkit.cli
 import fddkit.pipeline
 from fddkit.cli import main
-from fddkit.dataio import (BOOL, INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
+from fddkit.dataio import (INTEGER, INTEGERS, LOOP, MATRIX, NUMBER,
                            NUMBERS, OBJECT, PATH, STRING, STRING_OR_OBJECT,
                            Scaler, load_labels, load_matrix, save_labels,
                            save_matrix)
@@ -111,7 +111,7 @@ def test_ingest_round_trip(tmp_path):
     assert main(["ingest", "--config", ing, "--out", str(arc)]) == 0
     meta = json.loads((arc / "meta.json").read_text())
     total = sum(meta["counts"].values())
-    assert total <= 200 - 15 + 1  # contiguous split may drop overlaps
+    assert total <= 200 - 15 + 1  # the split may drop overlapping windows
     train_w = np.load(arc / "train_windows.npy")
     assert train_w.shape[1:] == (15, 10)
     scaler = json.loads((arc / "scaler.json").read_text())
@@ -203,7 +203,8 @@ def test_tune_cli(tmp_path):
                         "search_space": {"learning_rate": [0.01, 0.05]},
                         "budget": 2})
     out = tmp_path / "tuned"
-    assert main(["tune", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["tune", "--mode", "flat", "--config", cfg,
+                 "--out", str(out)]) == 0
     model_cfg = json.loads((out / "config.json").read_text())
     assert model_cfg["learning_rate"] in (0.01, 0.05)
 
@@ -598,7 +599,7 @@ def test_npy_header_with_a_bad_shape_exits_one(tmp_path, capsys, shape):
     (["simulate"], {"horizon": 50}),
     (["ingest"], {"data": "d.txt", "labels": "l.txt", "window": 5}),
     (["train", "--mode", "flat"], {"archive": "arc"}),
-    (["tune"], {}),
+    (["tune", "--mode", "flat"], {}),
     (["evaluate"], {"model": "m"}),
     (["prbs", "design"], {}),
     (["report"], {"report": "r"}),
@@ -803,7 +804,7 @@ def test_config_node_that_is_not_an_object_exits_one(tmp_path, capsys, key,
         argv = ["ingest", "--out", str(tmp_path / "arc")]
         cfg = _ingest_config(tmp_path, split=value)
     elif key == "search_space":
-        argv = ["tune", "--out", str(tmp_path / "m")]
+        argv = ["tune", "--mode", "flat", "--out", str(tmp_path / "m")]
         cfg = {"seed": 1, "surrogate": TINY_SURROGATE, key: value}
     else:
         argv = ["train", "--out", str(tmp_path / "m"), "--mode", "flat"]
@@ -825,7 +826,8 @@ def test_search_space_rejects_unknown_keys(tmp_path, capsys):
                        {"seed": 1, "surrogate": TINY_SURROGATE,
                         "search_space": {"lr": [0.1], "seed": [1, 2]}})
     err = _assert_one_line_exit_one(
-        ["tune", "--config", cfg, "--out", str(tmp_path / "m")], capsys)
+        ["tune", "--mode", "flat", "--config", cfg,
+         "--out", str(tmp_path / "m")], capsys)
     assert "unknown search_space keys: ['lr', 'seed']" in err
 
 
@@ -861,7 +863,8 @@ def _argv(command, tmp_path):
     """argv of one run of command, named by its first word or in full."""
     out = ["--out", str(tmp_path / "out")]
     return {"simulate": ["simulate"] + out, "ingest": ["ingest"] + out,
-            "train": ["train", "--mode", "flat"] + out, "tune": ["tune"] + out,
+            "train": ["train", "--mode", "flat"] + out,
+            "tune": ["tune", "--mode", "flat"] + out,
             "evaluate": ["evaluate"] + out, "prbs": ["prbs", "design"] + out,
             "report": ["report"]}[command.split()[0]]
 
@@ -909,7 +912,6 @@ _WRONG_VALUES = {
     NUMBER: ["x", True, None],
     STRING: [1, ["x"]],
     PATH: [0, True, ["x"]],
-    BOOL: ["false", 1],
     OBJECT: ["x", ["x"]],
     STRING_OR_OBJECT: [True, 1.5, ["x"]],
     LOOP: [1.5, True, ["x"]],
@@ -998,6 +1000,7 @@ def test_saved_file_with_a_wrong_typed_value_exits_one(tmp_path, capsys,
 _MISREADS = {
     # each of these exited 0 on a value read as something else
     "encoder_string": ("train", {"model": {"encoder": "12"}}, "encoder"),
+    # no ingest key now: refused as unknown, and named
     "contiguous_string": ("ingest", {"contiguous": "false"}, "contiguous"),
     "horizon_string": ("simulate", {"horizon": "50"}, "horizon"),
     "budget_string": ("tune", {"budget": "2"}, "budget"),
@@ -1164,7 +1167,8 @@ _MISPLACED = {
                                  "incipient": [3]}, "incipient": [3]},
                   "incipient"),
     "plan_node": (["simulate"], {"prbs": {"plan": "PLAN"}}, "plan"),
-    "tune_mode": (["tune"], {"surrogate": TINY_SURROGATE, "mode": "level2"},
+    "tune_mode": (["tune", "--mode", "flat"],
+                  {"surrogate": TINY_SURROGATE, "mode": "level2"},
                   "mode"),
 }
 
@@ -1188,6 +1192,61 @@ def test_key_the_data_source_does_not_take_exits_one_naming_it(
         [*argv, "--config", write_config(tmp_path / "c.json", cfg),
          "--out", str(out)], capsys)
     assert repr(key) in err
+    assert not out.exists()
+
+
+# (command, mode or evaluate shape, data source, key, exit code): each
+# that leaves incipient or prbs unread refuses it, and those that read
+# it still run
+_MODE_KEYS = [
+    ("train", "flat", "archive", "incipient", 1),
+    ("tune", "flat", "archive", "incipient", 1),
+    ("evaluate", "flat", "archive", "incipient", 1),
+    ("train", "flat", "surrogate", "prbs", 1),
+    ("train", "level1", "surrogate", "prbs", 1),
+    ("tune", "flat", "surrogate", "prbs", 1),
+    ("tune", "level1", "surrogate", "prbs", 1),
+    ("train", "level1", "archive", "incipient", 0),
+    ("train", "level2", "archive", "incipient", 0),
+    ("evaluate", "two-level", "archive", "incipient", 0),
+    ("train", "level2", "surrogate", "prbs", 0),
+    ("evaluate", "flat", "surrogate", "prbs", 0),
+]
+
+
+@pytest.mark.parametrize("command, mode, source, key, code", _MODE_KEYS,
+                         ids=["-".join(case[:4]) for case in _MODE_KEYS])
+def test_key_the_mode_does_not_read_exits_one_naming_it(
+        tmp_path, capsys, monkeypatch, command, mode, source, key, code):
+    if source == "archive":
+        # level models trained with incipient classes 3 and 9
+        cfg = _archive_level_models(tmp_path, 12)
+    else:
+        surr = {**TINY_SURROGATE, "incipient": [2], "n_series_level2": 1}
+        cfg = {"seed": 1, "surrogate": surr, "prbs": "default"}
+    if command == "evaluate":
+        cfg.update({"model": str(_saved_model(tmp_path / "flat"))}
+                   if mode == "flat" else
+                   {"level1": str(tmp_path / "level1"),
+                    "level2": str(tmp_path / "level2")})
+        argv = ["evaluate"]
+    else:
+        cfg["model"] = TINY_MODEL
+        argv = [command, "--mode", mode]
+    out = tmp_path / "out"
+    argv += ["--config", write_config(tmp_path / "c.json", cfg),
+             "--out", str(out)]
+    if code == 0:
+        assert main(argv) == 0
+        return
+
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(fddkit.pipeline, "simulate_scenario", simulating)
+    err = _assert_one_line_exit_one(argv, capsys)
+    assert err == (f"fddkit: config key {key!r} is not read by {command} "
+                   f"in {mode} mode\n")
     assert not out.exists()
 
 
@@ -1278,8 +1337,8 @@ def test_surrogate_class_outside_the_fault_library_exits_one(
     cfg = write_config(tmp_path / "c.json",
                        {"seed": 1, "surrogate": {**TINY_SURROGATE,
                                                  "classes": [0, 15]}})
-    argv = ({"train": ["train", "--mode", "flat"], "tune": ["tune"]}
-            [command] + ["--config", cfg, "--out", str(tmp_path / "out")])
+    argv = [command, "--mode", "flat", "--config", cfg,
+            "--out", str(tmp_path / "out")]
     err = _assert_one_line_exit_one(argv, capsys)
     assert "class 15" in err and "0 to 12" in err
 
@@ -1291,8 +1350,8 @@ def test_incipient_class_outside_the_surrogate_classes_exits_one(
     surr = {key: value for key, value in TINY_SURROGATE.items()
             if key != "incipient"}
     cfg = write_config(tmp_path / "c.json", {"seed": 1, "surrogate": surr})
-    argv = ({"train": ["train", "--mode", "flat"], "tune": ["tune"]}
-            [command] + ["--config", cfg, "--out", str(tmp_path / "out")])
+    argv = [command, "--mode", "flat", "--config", cfg,
+            "--out", str(tmp_path / "out")]
     err = _assert_one_line_exit_one(argv, capsys)
     assert "incipient classes [3, 9, 11]" in err
 
@@ -1312,8 +1371,10 @@ def test_archive_label_outside_n_classes_exits_one(tmp_path, capsys, mode,
             labels[-1] = 3
         np.save(arc / f"{name}_windows.npy", rng.normal(size=(6, 5, 2)))
         np.save(arc / f"{name}_labels.npy", labels)
+    # a flat model reads no incipient classes
     cfg = write_config(tmp_path / "train.json", {
-        "seed": 1, "archive": str(arc), "n_classes": 3, "incipient": [2],
+        "seed": 1, "archive": str(arc), "n_classes": 3,
+        **({} if mode == "flat" else {"incipient": [2]}),
         "model": {"encoder": [2], "decoder": [2], "epochs": 1}})
     err = _assert_one_line_exit_one(
         ["train", "--config", cfg, "--out", str(tmp_path / "m"),
@@ -1473,22 +1534,38 @@ def test_evaluate_flags_are_usage_errors(tmp_path, capsys, flag):
         main(["evaluate", "--config", cfg, "--out", str(tmp_path / "rep"),
               *flag])
     assert exc.value.code == 1
-    assert f"unrecognized arguments: {' '.join(flag)}" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"fddkit: error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_mode_is_required_in_one_usage_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json",
+                       {"seed": 1, "surrogate": TINY_SURROGATE})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "m")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == \
+        "fddkit: error: the following arguments are required: --mode\n"
 
 
 def test_archive_evaluate_builds_no_plant(tmp_path, monkeypatch):
     base = _archive_level_models(tmp_path, 12)
-    assert main(["train", "--config", str(tmp_path / "train.json"),
+    # a flat model reads no incipient classes
+    flat = {k: v for k, v in base.items() if k != "incipient"}
+    train = write_config(tmp_path / "flat.json", {
+        **flat, "model": {"encoder": [2], "decoder": [2], "epochs": 1}})
+    assert main(["train", "--config", train,
                  "--out", str(tmp_path / "flat"), "--mode", "flat"]) == 0
 
     def building(*args, **kwargs):
         raise AssertionError("built a plant for archive data")
 
     monkeypatch.setattr(fddkit.cli, "default_plant", building)
-    for models in ({"model": "flat"}, {"level1": "level1",
-                                        "level2": "level2"}):
-        cfg = {**base, **{k: str(tmp_path / v) for k, v in models.items()}}
+    for common, models in ((flat, {"model": "flat"}),
+                           (base, {"level1": "level1", "level2": "level2"})):
+        cfg = {**common,
+               **{k: str(tmp_path / v) for k, v in models.items()}}
         assert main(["evaluate", "--config",
                      write_config(tmp_path / "ev.json", cfg),
                      "--out", str(tmp_path / "rep")]) == 0
@@ -1516,14 +1593,15 @@ def test_level2_training_without_merged_group_windows_exits_one(tmp_path,
 def test_cli_trains_the_level_models_of_fit_hierarchical(tmp_path):
     surr = {**TINY_SURROGATE, "classes": [0, 1, 3, 11],
             "incipient": [3, 11], "n_series_level2": 1, "horizon": 150}
-    cfg = write_config(tmp_path / "train.json",
-                       {"seed": 2, "surrogate": surr, "prbs": "default",
-                        "model": TINY_MODEL})
+    # level 1 trains on quiet data, and reads no prbs plan
+    quiet = {"seed": 2, "surrogate": surr, "model": TINY_MODEL}
     spec = tiny_spec(surr)
     hmodel = fit_hierarchical(
         2, spec, prbs=default_excitation(spec.plant_factory(seed=0)))
-    for mode, model in (("level1", hmodel.level1),
-                        ("level2", hmodel.level2)):
+    for mode, model, probe in (("level1", hmodel.level1, {}),
+                               ("level2", hmodel.level2,
+                                {"prbs": "default"})):
+        cfg = write_config(tmp_path / f"{mode}.json", {**quiet, **probe})
         assert main(["train", "--config", cfg, "--out",
                      str(tmp_path / "cli" / mode), "--mode", mode]) == 0
         save_model(model, tmp_path / "lib" / mode)
@@ -1597,7 +1675,6 @@ FROZEN_RECORDS = {
 }
 """,
     "arc/meta.json": """{
-  "contiguous": true,
   "counts": {
     "test": 4,
     "train": 4,

@@ -6,7 +6,7 @@ import pytest
 from fddkit.errors import ConfigError, UndefinedMetricError
 from fddkit.metrics import (ConfusionMatrix, average_fdr, build_report,
                             confusion, confusion_to_text, far, fdr,
-                            fdr_precision, format_report, save_report)
+                            format_report, save_report)
 
 
 def tally_oracle(true, pred, m):
@@ -60,15 +60,6 @@ def test_two_class_identity_far_is_one_minus_normal_fdr():
     pred = rng.integers(0, 2, size=500)
     cm = confusion(true, pred, 2)
     assert far(cm, 0) == 1.0 - fdr(cm, 0)
-
-
-def test_fdr_precision_is_column_based():
-    cm = ConfusionMatrix(np.array([[5, 5], [5, 5]]))
-    assert fdr(cm, 1) == 0.5
-    assert fdr_precision(cm, 1) == 0.5
-    cm = ConfusionMatrix(np.array([[9, 1], [0, 10]]))
-    assert fdr(cm, 1) == 1.0
-    assert fdr_precision(cm, 1) == 10.0 / 11.0
 
 
 def test_relabeling_preserves_totals():

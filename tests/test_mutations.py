@@ -77,17 +77,19 @@ def root(tmp_path_factory):
                  {"seed": 1, "data": str(root / "records.txt"),
                   "labels": str(root / "labels.txt"), "window": 5})
     assert _run(["ingest", "--config", ing, "--out", str(arc)])[0] == 0
-    train = _write(root / "train.json",
-                   {"seed": 1, "archive": str(arc), "n_classes": 3,
-                    "incipient": [2], "model": {"epochs": 2, "encoder": [3]}})
+    # the level models read the incipient classes, a flat one reads none
+    data = {"seed": 1, "archive": str(arc), "n_classes": 3}
+    levels = {**data, "incipient": [2]}
+    model = {"epochs": 2, "encoder": [3]}
     for mode in ("flat", "level1", "level2"):
+        train = _write(root / f"train_{mode}.json",
+                       {**(data if mode == "flat" else levels),
+                        "model": model})
         assert _run(["train", "--mode", mode, "--config", train,
                      "--out", str(root / mode)])[0] == 0
-    data = {"seed": 1, "archive": str(arc), "incipient": [2],
-            "n_classes": 3}
     _write(root / "evaluate_flat.json", {**data, "model": str(root / "flat")})
     _write(root / "evaluate_levels.json",
-           {**data, "level1": str(root / "level1"),
+           {**levels, "level1": str(root / "level1"),
             "level2": str(root / "level2")})
     assert _run(["evaluate", "--config", str(root / "evaluate_flat.json"),
                  "--out", str(root / "report")])[0] == 0
@@ -260,7 +262,8 @@ def configs(root):
     surrogate = {"classes": [0, 1, 3], "incipient": [3], "n_series": 1,
                  "n_series_level2": 1, "horizon": 30, "window": 10,
                  "onset": 10}
-    train = [["train", "--mode", mode] for mode in ("flat", "level2")]
+    # of the two modes trained here, level 2 alone reads prbs and incipient
+    flat, level2 = ["train", "--mode", "flat"], ["train", "--mode", "level2"]
     evaluate = [json.loads((root / f"evaluate_{kind}.json").read_text())
                 for kind in ("flat", "levels")]
     return [
@@ -285,13 +288,16 @@ def configs(root):
         (["ingest"], {
             "seed": 1, "data": str(root / "records.txt"),
             "labels": str(root / "labels.txt"), "window": 5,
-            "expected_cols": 10, "contiguous": True,
+            "expected_cols": 10,
             "split": {"train": 0.6, "val": 0.2, "test": 0.2}}),
-        *[(argv, {"seed": 1, "surrogate": surrogate, "model": model,
-                  "prbs": "default"}) for argv in train],
-        *[(argv, {"seed": 1, "archive": str(root / "archive"),
+        (flat, {"seed": 1, "surrogate": surrogate, "model": model}),
+        (level2, {"seed": 1, "surrogate": surrogate, "model": model,
+                  "prbs": "default"}),
+        (flat, {"seed": 1, "archive": str(root / "archive"), "n_classes": 3,
+                "model": {**model, "epochs": 0}}),
+        (level2, {"seed": 1, "archive": str(root / "archive"),
                   "n_classes": 3, "incipient": [2],
-                  "model": {**model, "epochs": 0}}) for argv in train],
+                  "model": {**model, "epochs": 0}}),
         *[(["evaluate"], cfg) for cfg in evaluate],
     ]
 
