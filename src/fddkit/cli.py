@@ -383,6 +383,11 @@ def cmd_evaluate(args):
         model = load_model(Path(cfg["model"]))
         test_b, _ = _data(cfg, seed, "test", plan=plan)
         name = cfg["model"]
+        top = int(test_b.labels.max(initial=0))
+        if top >= model.config.n_classes:
+            raise ConfigError(
+                f"model {name} predicts {model.config.n_classes} classes, "
+                f"but the test data has label {top}")
     else:
         level1 = load_model(Path(cfg["level1"]))
         if "archive" in cfg:

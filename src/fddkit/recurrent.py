@@ -25,23 +25,19 @@ The products keep their batch-major operands, so they round as a plain
 (N, T, d) layout would: the input projection ``x @ W.T`` is taken over
 (N, T, d_x), the recurrent term ``h @ R.T`` over (N, d_h), and the
 backward pass writes the gate gradients into the (N, 4*d_h) array that
-its products read. Both forward passes sum each step's preactivation
-as ``(xw + b) + rr``, so they give the same bits: the training pass
-copies the whole projection into its gate-major gate array with the
-bias added on the way and adds ``rr`` through a (4, N, d_h) view of its
-rows; the inference pass sums one step at a time in a packed (N, 4*d_h)
-buffer and copies the sum into gate-major order.
+its products read.
 
-Both forward passes run the same in-place step on a (4, N, d_h)
-preactivation: ``sigmoid`` over the forget and input blocks and over
-the output block, ``tanh`` over the candidate block, and the cell state,
-its tanh and the hidden state written straight into their arrays.
-``lstm_forward_batch`` is the training pass: its step works in the gate
-array and the sequences that ``lstm_backward`` reads back.
-``lstm_hidden_batch`` is the inference pass: it returns only the hidden
-sequence, reusing one packed sum, one preactivation and one cell buffer
-across steps, so it allocates no full-length gate or cell arrays. Both
-give the same hidden states bit for bit.
+Both forward passes run one step loop, ``_run_steps``. Each step sums
+``(xw + b) + rr`` in a packed (N, 4*d_h) buffer, copies the sum into a
+gate-major (4, N, d_h) preactivation, takes ``sigmoid`` of the forget,
+input and output blocks and ``tanh`` of the candidate block in place,
+and writes the cell state, its tanh and the hidden state into storage
+the caller supplies. ``lstm_forward_batch``, the training pass, supplies
+the full-length arrays that ``lstm_backward`` reads back;
+``lstm_hidden_batch``, the inference pass, supplies one gate buffer and
+one cell buffer for every step and lets ``h`` hold the tanh of the cell
+state, so it allocates no full-length gate or cell array. Both give the
+same bits.
 """
 
 from dataclasses import dataclass, field
@@ -300,33 +296,37 @@ def _time_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2))
 
 
-def _gate_rows(a):
-    """(N, 4*d_h) packed gates as a (4, N, d_h) view, one block per gate;
-    N may be 0."""
-    return a.reshape(a.shape[0], 4, a.shape[1] // 4).transpose(1, 0, 2)
-
-
-def _gate_step(a, c_prev, c, tanh_c, h):
-    """One time step, in place, from the gate-major preactivation a
-    (4, N, d_h): a becomes the gate activations, and the cell state, tanh
-    of the cell state and the hidden state are written into c, tanh_c and
-    h. c may be c_prev, and tanh_c may be h."""
-    sigmoid(a[:2], out=a[:2])
-    sigmoid(a[3], out=a[3])
-    np.tanh(a[2], out=a[2])
-    f, i, g, o = a
-    np.multiply(f, c_prev, out=c)
-    c += i * g
-    np.tanh(c, out=tanh_c)
-    np.multiply(o, tanh_c, out=h)
-
-
-def _gate_major(xw, b, out):
-    """Copy the batch-major input projection xw (N, T, 4*d_h), N >= 0,
-    into the gate-major out (T, 4, N, d_h), adding the bias b on the way."""
-    d_h = b.size // 4
-    xw = xw.reshape(*xw.shape[:2], 4, d_h).transpose(1, 2, 0, 3)
-    np.add(xw, b.reshape(4, 1, d_h), out=out)
+def _run_steps(x, params, gates, c, tanh_c, h):
+    """The step loop of both forward passes, from zero states, over the
+    checked input x (N, T, d_x). Step t writes its gate activations into
+    gates[t] (4, N, d_h) and its cell state, tanh of the cell state and
+    hidden state into c[t], tanh_c[t] and h[t] (N, d_h); step t + 1 reads
+    c[t] and h[t], so a caller may hand every step the same gate and cell
+    buffer, and tanh_c may be h."""
+    n, t_len, _ = x.shape
+    d_h, dtype = params.d_h, params.W.dtype
+    # Hoist the input projection out of the time loop; only the recurrent
+    # term depends on the previous step. The product stays batch-major:
+    # one product per time step over the N windows can take another BLAS
+    # path and round differently.
+    xw = x @ params.W.T
+    pre = np.empty((n, 4 * d_h), dtype)
+    pre_rows = pre.reshape(n, 4, d_h).transpose(1, 0, 2)
+    h_prev = c_prev = np.zeros((n, d_h), dtype)
+    for t in range(t_len):
+        np.add(xw[:, t], params.b, out=pre)
+        pre += h_prev @ params.R.T
+        a = gates[t]
+        np.copyto(a, pre_rows)
+        sigmoid(a[:2], out=a[:2])
+        sigmoid(a[3], out=a[3])
+        np.tanh(a[2], out=a[2])
+        f, i, g, o = a
+        np.multiply(f, c_prev, out=c[t])
+        c[t] += i * g
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t])
+        h_prev, c_prev = h[t], c[t]
 
 
 def lstm_forward_batch(x, params):
@@ -347,24 +347,9 @@ def lstm_forward_batch(x, params):
     x = _checked_input(x, params)
     n, t_len, _ = x.shape
     d_h, dtype = params.d_h, params.W.dtype
-
-    h = np.empty((t_len, n, d_h), dtype)
-    c = np.empty((t_len, n, d_h), dtype)
-    tanh_c = np.empty((t_len, n, d_h), dtype)
-
-    # Hoist the input projection out of the time loop; only the recurrent
-    # term depends on the previous step. The product stays batch-major
-    # (one product per time step over the N windows can take another
-    # BLAS path and round differently); the gate array holds its copy and
-    # each step overwrites its slice.
+    h, c, tanh_c = (np.empty((t_len, n, d_h), dtype) for _ in range(3))
     gates = np.empty((t_len, 4, n, d_h), dtype)
-    _gate_major(x @ params.W.T, params.b, gates)
-    h_prev = c_prev = np.zeros((n, d_h), dtype)
-    for t in range(t_len):
-        a = gates[t]
-        a += _gate_rows(h_prev @ params.R.T)
-        _gate_step(a, c_prev, c[t], tanh_c[t], h[t])
-        h_prev, c_prev = h[t], c[t]
+    _run_steps(x, params, gates, c, tanh_c, h)
 
     h, c, tanh_c = (s.transpose(1, 0, 2) for s in (h, c, tanh_c))
     x = _time_major(x).transpose(1, 0, 2)
@@ -375,7 +360,7 @@ def lstm_forward_batch(x, params):
 def lstm_hidden_batch(x, params):
     """Hidden states of one LSTM layer over a batch of sequences.
 
-    Same arguments, checks and arithmetic as lstm_forward_batch, so the
+    Same arguments, checks and step loop as lstm_forward_batch, so the
     result equals its ``h`` bit for bit, but nothing is kept for a
     backward pass: besides the input projection, the only full-length
     array it allocates is the hidden sequence, (N, T, d_h) over
@@ -385,22 +370,9 @@ def lstm_hidden_batch(x, params):
     n, t_len, _ = x.shape
     d_h, dtype = params.d_h, params.W.dtype
     h = np.empty((t_len, n, d_h), dtype)
-    pre = np.empty((n, 4 * d_h), dtype)
     a = np.empty((4, n, d_h), dtype)
-    c = np.zeros((n, d_h), dtype)
-    h_prev = np.zeros((n, d_h), dtype)
-    # The product is lstm_forward_batch's, batch-major. Each step sums
-    # (xw + b) + rr in the packed buffer, the training pass's order,
-    # with one strided read of xw and one contiguous add, then copies the
-    # sum into the gate-major a; tanh of the cell state goes straight
-    # into h[t].
-    xw = x @ params.W.T
-    for t in range(t_len):
-        np.add(xw[:, t], params.b, out=pre)
-        pre += h_prev @ params.R.T
-        np.copyto(a, _gate_rows(pre))
-        _gate_step(a, c, c, h[t], h[t])
-        h_prev = h[t]
+    c = np.empty((n, d_h), dtype)
+    _run_steps(x, params, [a] * t_len, [c] * t_len, h, h)
     return h.transpose(1, 0, 2)
 
 

@@ -442,6 +442,25 @@ def _evaluate_argv(tmp_path, model_dir, hierarchical=False):
     return ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
 
 
+def test_flat_evaluate_of_a_model_with_too_few_classes_names_it(tmp_path,
+                                                                capsys):
+    # metrics.confusion exited with "labels outside [0, 3)", which named
+    # neither the model nor the data
+    model_dir = _saved_model(tmp_path / "model")
+
+    def evaluate(classes):
+        ev = write_config(tmp_path / "eval.json", {
+            "seed": 2, "model": str(model_dir),
+            "surrogate": {**TINY_SURROGATE, "classes": classes}})
+        return ["evaluate", "--config", ev, "--out", str(tmp_path / "rep")]
+
+    err = _assert_one_line_exit_one(evaluate([0, 1, 3]), capsys)
+    assert err == (f"fddkit: model {model_dir} predicts 3 classes, but the "
+                   f"test data has label 3\n")
+    # a model with more classes than the data is scored, as before
+    assert main(evaluate([0, 1])) == 0
+
+
 @pytest.mark.filterwarnings("error")
 def test_model_scaler_that_overflows_the_windows_exits_one(tmp_path,
                                                            capsys):

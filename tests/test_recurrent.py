@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -496,6 +497,25 @@ def test_hidden_pass_equals_training_pass_bitwise_on_random_shapes():
         h, _, _ = lstm_forward_batch(x, p)
         assert lstm_hidden_batch(x, p).tobytes() == h.tobytes(), (
             n, t_len, d_x, d_h, dtype)
+
+
+def test_hidden_pass_allocates_no_full_length_gate_or_cell_array():
+    # the archive_track encoder: the projection takes 16.15 MiB and the
+    # hidden sequence 4.04 MiB; a full-length gate array would add
+    # another 16.15 MiB, a cell array 4.04 MiB
+    n, t_len, d_x, d_h = 441, 150, 52, 16
+    p = init_params([(d_x, d_h)], n_classes=2,
+                    seed=1).astype(np.float32).layers[0]
+    x = np.random.default_rng(2).normal(
+        size=(n, t_len, d_x)).astype(np.float32)
+    projection, hidden = (n * t_len * k * 4 for k in (4 * d_h, d_h))
+    tracemalloc.start()
+    try:
+        lstm_hidden_batch(x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < projection + hidden + 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("n,t_len,d_x,d_h", SHAPES)
